@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domains import Anchor
-from .errors import (ConstraintError, GeometryError, ResolutionError,
-                     SampleError)
+from .errors import (ConstraintError, GeometryError, InternalInvariantError,
+                     ResolutionError, SampleError)
 from .geometry import Point2, as_point
 from .grid import GridGraph
 
@@ -24,7 +24,8 @@ _CONE_COS = math.cos(math.radians(25.0))
 
 def gromov_product(g: GridGraph, o, x, y) -> float:
     """(x|y)_o = (k(x,o) + k(o,y) - k(x,y)) / 2 in the grid metric."""
-    return 0.5 * (g.qh_distance(x, o) + g.qh_distance(o, y) - g.qh_distance(x, y))
+    k_ox, k_oy = g.qh_distances([o], [x, y])[0]
+    return 0.5 * (k_ox + k_oy - g.qh_distance(x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -137,18 +138,26 @@ def estimate_delta_thin_triangles(g: GridGraph, n_samples: int, seed: int,
     best_triple = triples[0]
     for row in triples:
         a, b, c = (int(pool[i]) for i in row)
-        _, pred_a = run(a)
-        _, pred_b = run(b)
+        dist_a, pred_a = run(a)
+        dist_b, pred_b = run(b)
         side_ab = np.asarray(GridGraph._chain(pred_a, a, b) if a != b else [a])
         side_ac = np.asarray(GridGraph._chain(pred_a, a, c) if a != c else [a])
         side_bc = np.asarray(GridGraph._chain(pred_b, b, c) if b != c else [b])
         val = 0.0
-        for side, others in ((side_ab, (side_ac, side_bc)),
-                             (side_ac, (side_ab, side_bc)),
-                             (side_bc, (side_ab, side_ac))):
+        for side, length, others in ((side_ab, dist_a[b], (side_ac, side_bc)),
+                                     (side_ac, dist_a[c], (side_ab, side_bc)),
+                                     (side_bc, dist_b[c], (side_ab, side_ac))):
+            # every node of a geodesic side lies within half its length of
+            # an endpoint, and both endpoints lie on the other sides, so the
+            # sweep can stop there; the slack covers float rounding only
             union = np.unique(np.concatenate(others))
-            dist = g.multi_source_field(union)
-            val = max(val, float(dist[side].max()))
+            dist = g.multi_source_field(union, limit=0.5 * length * (1 + 1e-9))
+            gap = float(dist[side].max())
+            if not math.isfinite(gap):
+                raise InternalInvariantError(
+                    "thin-triangle side node beyond half the side length "
+                    "from both endpoints")
+            val = max(val, gap)
         if val > best_val:
             best_val = val
             best_triple = row

@@ -6,13 +6,13 @@ raw tables ride along in every report so callers can re-judge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 from scipy.spatial import cKDTree
 
-from .analysis import _main_component, _select_node
+from .analysis import _select_node
 from .domains import Anchor, Domain
 from .errors import (ConstraintError, FunctionError, GeometryError,
                      ResolutionError, SampleError)

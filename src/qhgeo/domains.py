@@ -21,7 +21,7 @@ from scipy.sparse import csgraph
 from .curves import (RawCircle, RawSegment, pieces_crossings, pieces_distance,
                      trim_boundary)
 from .errors import (AnchorError, ConstraintError, DisconnectedDomainError,
-                     DomainError, GeometryError, ParseError, SampleError)
+                     DomainError, GeometryError, ParseError)
 from .geometry import Point2, as_point, as_points, seg_point_distance
 
 # ---------------------------------------------------------------------------
@@ -772,60 +772,3 @@ def compile_domain(spec, check_connectivity: bool = True) -> Domain:
     if check_connectivity:
         _probe_connectivity(domain)
     return domain
-
-
-# ---------------------------------------------------------------------------
-# spec-level convenience API
-
-
-def contains(domain: Domain, p) -> bool:
-    return domain.contains(p)
-
-
-def boundary_distance(domain: Domain, p) -> float:
-    return domain.boundary_distance(p)
-
-
-def boundary_anchor(domain: Domain, name: str) -> Point2:
-    return domain.anchor(name).point
-
-
-def anchor_inward(domain: Domain, name: str) -> tuple[float, float] | None:
-    return domain.anchor(name).inward
-
-
-def sample_interior(domain: Domain, n: int, seed: int = 0) -> np.ndarray:
-    """Uniform interior samples by rejection in the bounding box."""
-    rng = np.random.default_rng(seed)
-    lo = np.asarray(domain.bbox_lo)
-    hi = np.asarray(domain.bbox_hi)
-    out: list[np.ndarray] = []
-    have = 0
-    for _ in range(200):
-        cand = lo + (hi - lo) * rng.random((max(4 * n, 256), 2))
-        keep = cand[domain.contains_many(cand)]
-        if len(keep):
-            out.append(keep)
-            have += len(keep)
-        if have >= n:
-            return np.concatenate(out)[:n]
-    raise SampleError("interior rejection sampling failed; domain area is too small")
-
-
-def sample_boundary(domain: Domain, n: int, seed: int = 0) -> np.ndarray:
-    """Length-weighted samples on the trimmed boundary pieces."""
-    rng = np.random.default_rng(seed)
-    lengths = np.array([p.length() for p in domain.pieces])
-    total = lengths.sum()
-    if total <= 0.0:
-        raise SampleError("boundary has zero total length")
-    picks = rng.choice(len(lengths), size=n, p=lengths / total)
-    ts = rng.random(n)
-    pts = np.empty((n, 2))
-    for i, (k, t) in enumerate(zip(picks, ts)):
-        piece = domain.pieces[k]
-        if hasattr(piece, "a0"):
-            pts[i] = piece.point_at(piece.a0 + t * (piece.a1 - piece.a0))
-        else:
-            pts[i] = piece.point_at(t)
-    return pts

@@ -61,8 +61,7 @@ def seg_point_distance(a, b, pts: np.ndarray) -> np.ndarray:
     return np.hypot(pts[:, 0] - proj[:, 0], pts[:, 1] - proj[:, 1])
 
 
-def segments_properly_cross(p0: np.ndarray, p1: np.ndarray, a, b,
-                            eps: float = 0.0) -> np.ndarray:
+def segments_properly_cross(p0: np.ndarray, p1: np.ndarray, a, b) -> np.ndarray:
     """Whether each segment p0[i]-p1[i] meets the fixed segment a-b.
 
     Touching counts as crossing (closed test); collinear overlap counts too.
@@ -82,8 +81,8 @@ def segments_properly_cross(p0: np.ndarray, p1: np.ndarray, a, b,
     o_p0 = cross(d2[0], d2[1], p0[:, 0] - a[0], p0[:, 1] - a[1])
     o_p1 = cross(d2[0], d2[1], p1[:, 0] - a[0], p1[:, 1] - a[1])
 
-    straddle = (np.minimum(o_a, o_b) <= eps) & (np.maximum(o_a, o_b) >= -eps) \
-        & (np.minimum(o_p0, o_p1) <= eps) & (np.maximum(o_p0, o_p1) >= -eps)
+    straddle = (np.minimum(o_a, o_b) <= 0.0) & (np.maximum(o_a, o_b) >= 0.0) \
+        & (np.minimum(o_p0, o_p1) <= 0.0) & (np.maximum(o_p0, o_p1) >= 0.0)
     if not straddle.any():
         return straddle
 
@@ -92,8 +91,8 @@ def segments_properly_cross(p0: np.ndarray, p1: np.ndarray, a, b,
     hi_x = np.maximum(p0[:, 0], p1[:, 0])
     lo_y = np.minimum(p0[:, 1], p1[:, 1])
     hi_y = np.maximum(p0[:, 1], p1[:, 1])
-    box = (lo_x <= max(a[0], b[0]) + eps) & (hi_x >= min(a[0], b[0]) - eps) \
-        & (lo_y <= max(a[1], b[1]) + eps) & (hi_y >= min(a[1], b[1]) - eps)
+    box = (lo_x <= max(a[0], b[0])) & (hi_x >= min(a[0], b[0])) \
+        & (lo_y <= max(a[1], b[1])) & (hi_y >= min(a[1], b[1]))
     return straddle & box
 
 
@@ -177,9 +176,3 @@ def segment_segment_param(a, b, c, d) -> list[float]:
     if -1e-12 <= t <= 1 + 1e-12 and -1e-12 <= u <= 1 + 1e-12:
         return [float(t)]
     return []
-
-
-def polyline_lengths(points: np.ndarray) -> np.ndarray:
-    """Per-segment Euclidean lengths of an (N, 2) polyline."""
-    diffs = np.diff(points, axis=0)
-    return np.hypot(diffs[:, 0], diffs[:, 1])

@@ -8,6 +8,14 @@ node when its center lies inside with delta > cell/2. Neighboring leaves
 connecting segment stays inside; each edge carries the trapezoid weight
 |u-v| * (1/delta(u) + 1/delta(v)) / 2 and, in parallel, its Euclidean
 length for the inner metric.
+
+Every shortest-path sweep goes through GridGraph._sweep. Each edge is
+written in both directions from the same weight arrays, so both matrices
+are symmetric bit for bit and the sweep runs directed: it sees the same
+graph and skips the transpose scipy builds for an undirected call. A sweep
+may stop at a distance limit; the nodes it reaches are exact, because
+Dijkstra settles nodes in order of distance and every prefix of a shortest
+path is itself within the limit.
 """
 from __future__ import annotations
 
@@ -116,26 +124,39 @@ class GridGraph:
 
     # -- shortest paths ---------------------------------------------------
 
+    def _sweep(self, weights, sources, *, predecessors: bool = False,
+               min_only: bool = False, limit: float = np.inf):
+        """The one Dijkstra call every distance, geodesic and field goes through."""
+        return csgraph.dijkstra(weights, directed=True, indices=sources,
+                                return_predecessors=predecessors,
+                                min_only=min_only, limit=limit)
+
     def _check_component(self, u: int, v: int) -> None:
         if self.labels[u] != self.labels[v]:
             raise UnreachableError(
                 "endpoints fall in different graph components; refine the grid "
                 "or check that the domain is connected")
 
-    def qh_distance(self, x, y) -> float:
+    def _metric(self, inner: bool):
+        """(edge weights, index of the matching stub in attach's result)."""
+        return (self.csr_euc, 2) if inner else (self.csr_qh, 1)
+
+    def _distance(self, x, y, inner: bool) -> float:
         px, py = as_point(x), as_point(y)
         if px.x == py.x and px.y == py.y:
             return 0.0
-        u, stub_u, _ = self.attach(px)
-        v, stub_v, _ = self.attach(py)
+        weights, k = self._metric(inner)
+        ax, ay = self.attach(px), self.attach(py)
+        u, v = ax[0], ay[0]
+        stubs = ax[k] + ay[k]
         if u == v:
-            return stub_u + stub_v
+            return stubs
         self._check_component(u, v)
         # run from the lower node id so k(x, y) == k(y, x) bitwise
-        d = csgraph.dijkstra(self.csr_qh, directed=False, indices=min(u, v))
-        return stub_u + stub_v + float(d[max(u, v)])
+        d = self._sweep(weights, min(u, v))
+        return stubs + float(d[max(u, v)])
 
-    def qh_geodesic(self, x, y) -> PathPolyline:
+    def _geodesic(self, x, y, inner: bool) -> PathPolyline:
         px, py = as_point(x), as_point(y)
         dx = float(self.domain.delta_many(np.array([[px.x, px.y]]))[0])
         if px.x == py.x and px.y == py.y:
@@ -149,8 +170,7 @@ class GridGraph:
             chain = [u]
         else:
             self._check_component(u, v)
-            _, pred = csgraph.dijkstra(self.csr_qh, directed=False, indices=u,
-                                       return_predecessors=True)
+            _, pred = self._sweep(self._metric(inner)[0], u, predecessors=True)
             chain = self._chain(pred, u, v)
         points = np.vstack([[px.x, px.y], self.centers[chain], [py.x, py.y]])
         deltas = np.concatenate([[dx], self.deltas[chain], [dy]])
@@ -166,70 +186,74 @@ class GridGraph:
             out.append(p)
         return out[::-1]
 
+    def qh_distance(self, x, y) -> float:
+        return self._distance(x, y, inner=False)
+
+    def qh_geodesic(self, x, y) -> PathPolyline:
+        return self._geodesic(x, y, inner=False)
+
     def inner_distance(self, x, y) -> float:
-        px, py = as_point(x), as_point(y)
-        if px.x == py.x and px.y == py.y:
-            return 0.0
-        u, _, eu = self.attach(px)
-        v, _, ev = self.attach(py)
-        if u == v:
-            return eu + ev
-        self._check_component(u, v)
-        d = csgraph.dijkstra(self.csr_euc, directed=False, indices=min(u, v))
-        return eu + ev + float(d[max(u, v)])
+        return self._distance(x, y, inner=True)
 
     def inner_geodesic(self, x, y) -> PathPolyline:
-        px, py = as_point(x), as_point(y)
-        dx = float(self.domain.delta_many(np.array([[px.x, px.y]]))[0])
-        dy = float(self.domain.delta_many(np.array([[py.x, py.y]]))[0])
-        u, _, _ = self.attach(px)
-        v, _, _ = self.attach(py)
-        if u == v:
-            chain = [u]
-        else:
-            self._check_component(u, v)
-            _, pred = csgraph.dijkstra(self.csr_euc, directed=False, indices=u,
-                                       return_predecessors=True)
-            chain = self._chain(pred, u, v)
-        points = np.vstack([[px.x, px.y], self.centers[chain], [py.x, py.y]])
-        deltas = np.concatenate([[dx], self.deltas[chain], [dy]])
-        return PathPolyline(points, deltas)
+        return self._geodesic(x, y, inner=True)
+
+    def qh_distances(self, sources, targets) -> np.ndarray:
+        """k(x, y) for every source x (rows) and target y (columns).
+
+        One sweep per source instead of one per pair. Each entry follows
+        qh_distance: 0 for coincident points, the two stubs for a shared
+        node, UnreachableError across components. It sweeps from the source
+        rather than the lower node id, so an entry may differ from
+        qh_distance by float rounding.
+        """
+        tgts = [as_point(t) for t in targets]
+        t_att = [self.attach(t) for t in tgts]
+        out = np.empty((len(sources), len(tgts)))
+        for i, s in enumerate(sources):
+            ps = as_point(s)
+            u, stub_u, _ = self.attach(ps)
+            field = None
+            for j, (pt, (v, stub_v, _)) in enumerate(zip(tgts, t_att)):
+                if ps.x == pt.x and ps.y == pt.y:
+                    out[i, j] = 0.0
+                elif u == v:
+                    out[i, j] = stub_u + stub_v
+                else:
+                    self._check_component(u, v)
+                    if field is None:
+                        field = self._sweep(self.csr_qh, u)
+                    out[i, j] = stub_u + stub_v + float(field[v])
+        return out
 
     def dist_field(self, source) -> np.ndarray:
         """Quasihyperbolic distance from a point to every node (stub included)."""
         u, stub, _ = self.attach(source)
-        d = csgraph.dijkstra(self.csr_qh, directed=False, indices=u)
-        return d + stub
+        return self._sweep(self.csr_qh, u) + stub
 
     def node_field(self, node: int) -> np.ndarray:
-        return csgraph.dijkstra(self.csr_qh, directed=False, indices=int(node))
+        return self._sweep(self.csr_qh, int(node))
 
     def node_field_with_pred(self, node: int) -> tuple[np.ndarray, np.ndarray]:
-        return csgraph.dijkstra(self.csr_qh, directed=False, indices=int(node),
-                                return_predecessors=True)
+        return self._sweep(self.csr_qh, int(node), predecessors=True)
 
-    def multi_source_field(self, nodes) -> np.ndarray:
-        """Min quasihyperbolic graph distance from a node set to every node."""
+    def multi_source_field(self, nodes, limit: float = np.inf) -> np.ndarray:
+        """Min quasihyperbolic graph distance from a node set to every node.
+
+        Nodes farther than limit from every source come back as inf; the
+        others are exact, since a sweep settles nodes in distance order.
+        """
         nodes = np.asarray(nodes, dtype=np.int64)
         if len(nodes) == 0:
             raise ValueError("need at least one source node")
-        n = self.node_count
-        a = self.csr_qh
-        indptr = np.concatenate([a.indptr, [a.indptr[-1] + len(nodes)]])
-        indices = np.concatenate([a.indices, nodes])
-        data = np.concatenate([a.data, np.zeros(len(nodes))])
-        aug = sparse.csr_matrix((data, indices, indptr), shape=(n + 1, n + 1))
-        d = csgraph.dijkstra(aug, directed=False, indices=n)
-        return d[:n]
+        return self._sweep(self.csr_qh, nodes, min_only=True, limit=limit)
 
     def node_distance_matrix(self, nodes, chunk: int = 45) -> np.ndarray:
         """Pairwise graph distances between the given nodes."""
         nodes = np.asarray(nodes, dtype=np.int64)
         out = np.empty((len(nodes), len(nodes)))
         for s in range(0, len(nodes), chunk):
-            rows = csgraph.dijkstra(self.csr_qh, directed=False,
-                                    indices=nodes[s:s + chunk])
-            out[s:s + chunk] = rows[:, nodes]
+            out[s:s + chunk] = self._sweep(self.csr_qh, nodes[s:s + chunk])[:, nodes]
         return out
 
 

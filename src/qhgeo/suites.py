@@ -18,7 +18,7 @@ from .analysis import (gromov_product_boundary_probe, loop_probe,
 from .conditions import john_center_probe, qhbc_fit
 from .domains import compile_domain
 from .errors import ConstraintError
-from .grid import GridGraph, GridParams, build_grid
+from .grid import GridParams, build_grid
 from .hyperbolic import compare_metrics_disk, hyp_distance_disk
 
 SUITE_NAMES = ("example8", "disk_reference", "comb", "slit")

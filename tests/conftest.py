@@ -25,22 +25,6 @@ def sample_interior(domain, n, seed, min_delta=0.0):
     return out[:n]
 
 
-def batched_k(g, sources, targets):
-    """k(x, y) for every source-target combination, one field per source.
-
-    Mirrors GridGraph.qh_distance (attach stubs plus node-to-node distance)
-    but runs a single shortest-path sweep per source instead of one per pair.
-    """
-    t_att = [g.attach(p) for p in targets]
-    out = np.empty((len(sources), len(targets)))
-    for i, s in enumerate(sources):
-        u, stub_u, _ = g.attach(s)
-        field = g.node_field(u)
-        for j, (v, stub_v, _) in enumerate(t_att):
-            out[i, j] = stub_u + (0.0 if u == v else float(field[v])) + stub_v
-    return out
-
-
 def eq1_lower_bounds(domain, x, y):
     """The two distance lower bounds: log(1 + gap/min delta), |log ratio|."""
     pts = np.asarray([x, y], float)

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from conftest import batched_k, sample_interior
+from conftest import sample_interior
 from qhgeo import (GridParams, GrowthFunction, PathPolyline, SUITE_NAMES,
                    bh_quasigeodesic_check, build_grid, compare_metrics_disk,
                    compile_domain, estimate_delta_four_point,
@@ -50,7 +50,7 @@ def test_criterion_02_lower_bound_invariant(disk_domain, square_domain,
     for name, dom, g, h in cases:
         src = sample_interior(dom, 50, seed=101, min_delta=1.5 * h)
         tgt = sample_interior(dom, 20, seed=202, min_delta=1.5 * h)
-        k = batched_k(g, src, tgt)
+        k = g.qh_distances(src, tgt)
         s = np.asarray(src)
         t = np.asarray(tgt)
         ds = dom.delta_many(s)
@@ -101,7 +101,7 @@ def test_criterion_04_ball_comparison(disk_domain, disk256):
             if gap.min() >= 0.05:
                 tgt.append(p)
         seed += 1
-    k = batched_k(disk256, src, tgt)
+    k = disk256.qh_distances(src, tgt)
     h = np.array([[hyp_distance_disk(a, b) for b in tgt] for a in src])
     assert k.size == 200
     lo_ok = 0.95 * k <= h + 1e-12

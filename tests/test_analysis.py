@@ -102,6 +102,15 @@ def test_four_point_estimate_determinism(disk64):
     assert small.value <= a.value
 
 
+def test_estimates_unchanged_by_sweep_pruning(disk128):
+    # float.hex of the values computed with unpruned, undirected sweeps on
+    # a symmetric matrix; the L/2 limit and directed sweeps must not move them
+    thin = estimate_delta_thin_triangles(disk128, 200, seed=7)
+    assert thin.value.hex() == "0x1.8ea5bd9026898p-1"
+    four = estimate_delta_four_point(disk128, 2000, seed=7)
+    assert four.value.hex() == "0x1.f2a6f935d79a8p-2"
+
+
 def test_thin_triangle_estimate(disk64):
     t = estimate_delta_thin_triangles(disk64, 40, seed=7, pool_size=40)
     assert t.method == "thin_triangle"

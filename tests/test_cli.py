@@ -1,11 +1,14 @@
 """Command-line interface: formats, exit codes, determinism."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qhgeo
 from qhgeo import CSV_HEADER
 from qhgeo.cli import main as cli_main
 
@@ -159,8 +162,12 @@ def test_suite_csv_flat(capsys):
 
 
 def test_module_entry_point(disk_json):
+    # the child imports the same qhgeo as this process, installed or not
+    src = str(Path(qhgeo.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     r = subprocess.run([sys.executable, "-m", "qhgeo", "dist", "--domain",
                         disk_json, "0,0", "0.5,0"],
-                       capture_output=True, text=True)
+                       capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": path})
     assert r.returncode == 0
     assert json.loads(r.stdout)["bound_satisfied"] is True

@@ -97,6 +97,13 @@ def test_geodesic_endpoints_swap(disk128):
     assert np.allclose(p.points, q.points[::-1])
 
 
+def test_coincident_geodesic_is_one_point(disk128):
+    for geodesic in (disk128.qh_geodesic, disk128.inner_geodesic):
+        path = geodesic((0.3, 0.2), (0.3, 0.2))
+        assert path.points.tolist() == [[0.3, 0.2]]
+        assert path.euclidean_length == 0.0
+
+
 def test_inner_distance(disk256, slit_grid):
     din = disk256.inner_distance((-0.5, 0), (0.5, 0))
     assert abs(din - 1.0) < 0.02
@@ -111,6 +118,45 @@ def test_multi_source_field(slit_grid):
     f = slit_grid.multi_source_field([0, 5])
     assert f[0] == 0.0 and f[5] == 0.0
     assert np.isfinite(f).all() and f.max() > 0.0
+
+
+@pytest.mark.parametrize("grid", ["disk128", "slit_grid", "comb_grid"])
+def test_weights_bitwise_symmetric(grid, request):
+    # the precondition for running every sweep with directed=True
+    g = request.getfixturevalue(grid)
+    for a in (g.csr_qh, g.csr_euc):
+        a = a.copy()
+        t = a.T.tocsr()
+        a.sort_indices()
+        t.sort_indices()
+        assert np.array_equal(a.indptr, t.indptr)
+        assert np.array_equal(a.indices, t.indices)
+        assert a.data.tobytes() == t.data.tobytes()
+
+
+def test_multi_source_field_is_min_of_node_fields(slit_grid):
+    nodes = [0, 5, slit_grid.node_count // 2, slit_grid.node_count - 1]
+    rows = np.vstack([slit_grid.node_field(u) for u in nodes])
+    want = rows.min(axis=0)
+    assert slit_grid.multi_source_field(nodes).tobytes() == want.tobytes()
+    # a limit turns the far nodes into inf and leaves the near ones exact
+    lim = float(np.median(want))
+    cut = slit_grid.multi_source_field(nodes, limit=lim)
+    near = want <= lim
+    assert cut[near].tobytes() == want[near].tobytes()
+    assert np.isinf(cut[~near]).all()
+
+
+def test_qh_distances_matches_qh_distance(disk128):
+    # a repeated point, and a point sharing its node with another
+    pts = [(0.0, 0.0), (0.51, 0.1), (-0.3, 0.6), (0.51, 0.1), (0.5101, 0.1)]
+    assert disk128.attach(pts[1])[0] == disk128.attach(pts[4])[0]
+    k = disk128.qh_distances(pts[:3], pts)
+    assert k.shape == (3, 5)
+    want = np.array([[disk128.qh_distance(x, y) for y in pts] for x in pts[:3]])
+    assert np.allclose(k, want, rtol=1e-12, atol=0.0)
+    assert k[1, 1] == k[1, 3] == 0.0
+    assert 0.0 < k[1, 4] == want[1, 4]
 
 
 def test_node_field_with_pred(disk128):
@@ -137,6 +183,8 @@ def test_unreachable_components():
         g.qh_distance((0, 0.5), (0, -0.5))
     with pytest.raises(UnreachableError):
         g.qh_geodesic((0, 0.5), (0, -0.5))
+    with pytest.raises(UnreachableError):
+        g.qh_distances([(0, 0.5)], [(0.1, 0.6), (0, -0.5)])
     assert g.qh_distance((0, 0.5), (0.1, 0.6)) > 0.0
 
 
