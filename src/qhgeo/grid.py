@@ -141,9 +141,17 @@ class GridGraph:
         """(edge weights, index of the matching stub in attach's result)."""
         return (self.csr_euc, 2) if inner else (self.csr_qh, 1)
 
+    def _coincide(self, px, py) -> bool:
+        """Whether the two query points are equal; equal points must lie inside."""
+        if px.x != py.x or px.y != py.y:
+            return False
+        if not self.domain.contains(px):
+            raise DomainError(f"point ({px.x}, {px.y}) is not inside the domain")
+        return True
+
     def _distance(self, x, y, inner: bool) -> float:
         px, py = as_point(x), as_point(y)
-        if px.x == py.x and px.y == py.y:
+        if self._coincide(px, py):
             return 0.0
         weights, k = self._metric(inner)
         ax, ay = self.attach(px), self.attach(py)
@@ -159,9 +167,7 @@ class GridGraph:
     def _geodesic(self, x, y, inner: bool) -> PathPolyline:
         px, py = as_point(x), as_point(y)
         dx = float(self.domain.delta_many(np.array([[px.x, px.y]]))[0])
-        if px.x == py.x and px.y == py.y:
-            if not self.domain.contains(px):
-                raise DomainError(f"point ({px.x}, {px.y}) is not inside the domain")
+        if self._coincide(px, py):
             return PathPolyline(np.array([[px.x, px.y]]), np.array([dx]))
         u, _, _ = self.attach(px)
         v, _, _ = self.attach(py)

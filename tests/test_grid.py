@@ -104,6 +104,13 @@ def test_coincident_geodesic_is_one_point(disk128):
         assert path.euclidean_length == 0.0
 
 
+def test_coincident_points_outside_rejected(disk128):
+    for query in (disk128.qh_distance, disk128.inner_distance,
+                  disk128.qh_geodesic, disk128.inner_geodesic):
+        with pytest.raises(DomainError):
+            query((1.5, 0.0), (1.5, 0.0))
+
+
 def test_inner_distance(disk256, slit_grid):
     din = disk256.inner_distance((-0.5, 0), (0.5, 0))
     assert abs(din - 1.0) < 0.02
