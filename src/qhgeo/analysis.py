@@ -283,14 +283,43 @@ def _probe_ladder(g: GridGraph, p: Anchor, q: Anchor, x0, scales: list[float],
                 f"no admissible node within t={t:g} of anchor ({q.point.x:g}, {q.point.y:g})")
         if distinct and xk == yk:
             raise GeometryError(f"approach arcs are not disjoint at scale t={t:g}")
-        dist, pred = g.node_field_with_pred(xk)
-        chain = np.asarray(GridGraph._chain(pred, xk, yk) if xk != yk else [xk])
-        k_xy = float(dist[yk]) if xk != yk else 0.0
+        if xk == yk:
+            chain, k_xy = np.asarray([xk]), 0.0
+        else:
+            # k(xk, yk) <= field[xk] + field[yk] through u0, so a sweep cut
+            # there settles every prefix of the xk-yk geodesic exactly; the
+            # slack covers float rounding only
+            limit = (float(field[xk]) + float(field[yk])) * (1 + 1e-9)
+            dist, pred = g.node_field_with_pred(xk, limit)
+            if not math.isfinite(dist[yk]):
+                raise InternalInvariantError(
+                    "ladder endpoint beyond the triangle bound through x0")
+            chain = np.asarray(GridGraph._chain(pred, xk, yk))
+            k_xy = float(dist[yk])
         m_k = float(field[chain].min())
         clear_k = float(g.deltas[chain].max())
         prod = 0.5 * (float(field[xk]) + float(field[yk]) - k_xy)
         rows.append((t, xk, yk, m_k, clear_k, prod, k_xy))
     return rows
+
+
+def _report(g: GridGraph, kind: str, p: Anchor, q: Anchor, x0, scales: list[float],
+            rows, verdict: str, slope_of: list[float], **extra) -> ProbeReport:
+    """ProbeReport from the ladder rows; slope_of is the series the slope fits."""
+    return ProbeReport(
+        kind=kind,
+        p=p.point.as_tuple(), q=q.point.as_tuple(), x0=as_point(x0).as_tuple(),
+        scales=scales,
+        endpoints=[(tuple(map(float, g.centers[r[1]])),
+                    tuple(map(float, g.centers[r[2]]))) for r in rows],
+        m=[r[3] for r in rows],
+        clearance=[r[4] for r in rows],
+        gromov_products=[r[5] for r in rows],
+        k_xy=[r[6] for r in rows],
+        verdict=verdict,
+        divergence_slope=_divergence_slope(scales, slope_of),
+        extra=extra,
+    )
 
 
 def _rising_window(m: list[float], min_len: int = 3, rise: float = 2.0) -> bool:
@@ -331,18 +360,7 @@ def visibility_probe(g: GridGraph, p, q, x0, scales) -> ProbeReport:
         verdict = "not_visible"
     else:
         verdict = "inconclusive"
-    return ProbeReport(
-        kind="visibility",
-        p=p.point.as_tuple(), q=q.point.as_tuple(), x0=as_point(x0).as_tuple(),
-        scales=scales,
-        endpoints=[(tuple(map(float, g.centers[r[1]])),
-                    tuple(map(float, g.centers[r[2]]))) for r in rows],
-        m=m, clearance=clear,
-        gromov_products=[r[5] for r in rows],
-        k_xy=[r[6] for r in rows],
-        verdict=verdict,
-        divergence_slope=_divergence_slope(scales, m),
-    )
+    return _report(g, "visibility", p, q, x0, scales, rows, verdict, m)
 
 
 def gromov_product_boundary_probe(g: GridGraph, p, q, o, scales) -> ProbeReport:
@@ -360,19 +378,8 @@ def gromov_product_boundary_probe(g: GridGraph, p, q, o, scales) -> ProbeReport:
     prods = [r[5] for r in rows]
     incs = [b - a for a, b in zip(prods, prods[1:])]
     bounded = len(incs) >= 3 and max(incs[-3:]) < 0.1
-    return ProbeReport(
-        kind="gromov_boundary",
-        p=p.point.as_tuple(), q=q.point.as_tuple(), x0=as_point(o).as_tuple(),
-        scales=scales,
-        endpoints=[(tuple(map(float, g.centers[r[1]])),
-                    tuple(map(float, g.centers[r[2]]))) for r in rows],
-        m=[r[3] for r in rows],
-        clearance=[r[4] for r in rows],
-        gromov_products=prods,
-        k_xy=[r[6] for r in rows],
-        verdict="bounded" if bounded else "unbounded",
-        divergence_slope=_divergence_slope(scales, prods),
-    )
+    return _report(g, "gromov_boundary", p, q, o, scales, rows,
+                   "bounded" if bounded else "unbounded", prods)
 
 
 def loop_probe(g: GridGraph, p, x0, scales, arcs) -> ProbeReport:
@@ -416,17 +423,5 @@ def loop_probe(g: GridGraph, p, x0, scales, arcs) -> ProbeReport:
         verdict = "well_behaved"
     else:
         verdict = "inconclusive"
-    return ProbeReport(
-        kind="loop",
-        p=p.point.as_tuple(), q=p.point.as_tuple(), x0=as_point(x0).as_tuple(),
-        scales=scales,
-        endpoints=[(tuple(map(float, g.centers[r[1]])),
-                    tuple(map(float, g.centers[r[2]]))) for r in rows],
-        m=m,
-        clearance=[r[4] for r in rows],
-        gromov_products=[r[5] for r in rows],
-        k_xy=k_xy,
-        verdict=verdict,
-        divergence_slope=_divergence_slope(scales, m),
-        extra={"arcs": [list(map(float, d)) for d in dirs]},
-    )
+    return _report(g, "loop", p, p, x0, scales, rows, verdict, m,
+                   arcs=[list(map(float, d)) for d in dirs])

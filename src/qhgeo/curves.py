@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +39,18 @@ class ArcPiece:
 
     def length(self) -> float:
         return self.radius * (self.a1 - self.a0)
+
+    def box(self) -> np.ndarray:
+        """[[xmin, ymin], [xmax, ymax]] of the arc: its ends plus the
+        axis-extreme points its angular range covers."""
+        pts = [self.point_at(self.a0), self.point_at(self.a1)]
+        quarter = 0.5 * math.pi
+        q = math.ceil(self.a0 / quarter)
+        while q * quarter <= self.a1:
+            c, s = ((1, 0), (0, 1), (-1, 0), (0, -1))[q % 4]
+            pts.append(np.array([self.cx + c * self.radius, self.cy + s * self.radius]))
+            q += 1
+        return np.array([np.min(pts, axis=0), np.max(pts, axis=0)])
 
     def distances(self, pts: np.ndarray) -> np.ndarray:
         dx = pts[:, 0] - self.cx
@@ -98,6 +111,9 @@ class SegPiece:
     def length(self) -> float:
         return math.hypot(self.bx - self.ax, self.by - self.ay)
 
+    def box(self) -> np.ndarray:
+        return np.array([np.minimum(self.a, self.b), np.maximum(self.a, self.b)])
+
     def point_at(self, t: float) -> np.ndarray:
         return np.array([self.ax + t * (self.bx - self.ax),
                          self.ay + t * (self.by - self.ay)])
@@ -112,11 +128,38 @@ class SegPiece:
 BoundaryPiece = ArcPiece | SegPiece
 
 
-def pieces_distance(pieces, pts: np.ndarray) -> np.ndarray:
-    """Pointwise min distance to a list of boundary pieces."""
+class Tiles(NamedTuple):
+    """Query points in consecutive runs, each with a box and a distance bound.
+
+    Run i is the next sizes[i] points. They lie in the box [lo[i], hi[i]],
+    and none is farther than bound[i] from the boundary.
+    """
+    lo: np.ndarray      # (runs, 2)
+    hi: np.ndarray      # (runs, 2)
+    bound: np.ndarray   # (runs,)
+    sizes: np.ndarray   # (runs,)
+
+
+def pieces_distance(pieces, pts: np.ndarray, tiles: Tiles | None = None) -> np.ndarray:
+    """Pointwise min distance to a list of boundary pieces.
+
+    With tiles, a piece is skipped for a run whose box lies farther than the
+    run's bound from the piece's box. The nearest piece is never skipped,
+    and the min of a superset of it is the same float, so the result does
+    not change.
+    """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     best = np.full(len(pts), np.inf)
     for piece in pieces:
+        if tiles is not None:
+            box = piece.box()
+            gap = np.maximum(np.maximum(box[0] - tiles.hi, tiles.lo - box[1]), 0.0)
+            near = np.hypot(gap[:, 0], gap[:, 1]) <= tiles.bound
+            if not near.all():
+                if near.any():
+                    sel = np.repeat(near, tiles.sizes)
+                    best[sel] = np.minimum(best[sel], piece.distances(pts[sel]))
+                continue
         np.minimum(best, piece.distances(pts), out=best)
     return best
 

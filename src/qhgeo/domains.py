@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .curves import (RawCircle, RawSegment, pieces_crossings, pieces_distance,
+from .curves import (RawCircle, RawSegment, Tiles, pieces_crossings, pieces_distance,
                      trim_boundary)
 from .errors import (AnchorError, ConstraintError, DisconnectedDomainError,
                      DomainError, GeometryError, ParseError)
@@ -678,9 +678,13 @@ class Domain:
     def contains(self, p) -> bool:
         return bool(self.contains_many(np.asarray(as_point(p).as_tuple())[None, :])[0])
 
-    def delta_many(self, pts) -> np.ndarray:
-        """Unsigned distance to the trimmed boundary (no membership check)."""
-        return pieces_distance(self.pieces, as_points(pts))
+    def delta_many(self, pts, tiles: Tiles | None = None) -> np.ndarray:
+        """Unsigned distance to the trimmed boundary (no membership check).
+
+        tiles, if given, lets far pieces be skipped per run of points (see
+        curves.Tiles); the distances are the same floats either way.
+        """
+        return pieces_distance(self.pieces, as_points(pts), tiles)
 
     def boundary_distance(self, p) -> float:
         pt = as_point(p)

@@ -9,6 +9,21 @@ connecting segment stays inside; each edge carries the trapezoid weight
 |u-v| * (1/delta(u) + 1/delta(v)) / 2 and, in parallel, its Euclidean
 length for the inner metric.
 
+Below level 0 delta is screened, not evaluated against every boundary
+piece. delta is 1-Lipschitz, so a child cell's delta is at most its
+parent's plus the parent-child center distance s_parent/(2*sqrt 2), plus
+1e-9 * domain.scale for rounding. Per level-0 cell, a piece is skipped for
+all of the cell's children when the box-to-box distance from the cell to
+the piece exceeds the largest such bound there. A skipped piece is never
+the nearest one, and the min over a superset of the nearest piece is the
+same float, so every delta is bit for bit the unscreened value.
+
+Both weight matrices share one CSR structure. The edge ids go through one
+COO->CSR conversion, and the qh and Euclidean weights are gathered through
+the resulting order. That is the order the two separate conversions
+produced: no (row, column) pair occurs twice, and a conversion sorts each
+row by column.
+
 Every shortest-path sweep goes through GridGraph._sweep. Each edge is
 written in both directions from the same weight arrays, so both matrices
 are symmetric bit for bit and the sweep runs directed: it sees the same
@@ -27,6 +42,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 from scipy.spatial import cKDTree
 
+from .curves import Tiles
 from .domains import Domain, FootFingersSpec, foot_fingers_layout
 from .errors import DomainError, ResolutionError, UnreachableError
 from .geometry import as_point
@@ -149,35 +165,53 @@ class GridGraph:
             raise DomainError(f"point ({px.x}, {px.y}) is not inside the domain")
         return True
 
-    def _distance(self, x, y, inner: bool) -> float:
+    def _route(self, x, y, inner: bool, predecessors: bool):
+        """(distance, node chain from x's node to y's) from one sweep.
+
+        The sweep runs from the lower node id, so k(x, y) == k(y, x)
+        bitwise; the chain is reversed when y's node is the lower one. The
+        chain is None for coincident points, or when predecessors is False.
+        """
         px, py = as_point(x), as_point(y)
         if self._coincide(px, py):
-            return 0.0
+            return 0.0, None
         weights, k = self._metric(inner)
         ax, ay = self.attach(px), self.attach(py)
         u, v = ax[0], ay[0]
         stubs = ax[k] + ay[k]
         if u == v:
-            return stubs
+            return stubs, [u]
         self._check_component(u, v)
-        # run from the lower node id so k(x, y) == k(y, x) bitwise
-        d = self._sweep(weights, min(u, v))
-        return stubs + float(d[max(u, v)])
+        lo, hi = min(u, v), max(u, v)
+        if not predecessors:
+            return stubs + float(self._sweep(weights, lo)[hi]), None
+        d, pred = self._sweep(weights, lo, predecessors=True)
+        chain = self._chain(pred, lo, hi)
+        return stubs + float(d[hi]), chain if lo == u else chain[::-1]
+
+    def _distance(self, x, y, inner: bool) -> float:
+        return self._route(x, y, inner, predecessors=False)[0]
 
     def _geodesic(self, x, y, inner: bool) -> PathPolyline:
         px, py = as_point(x), as_point(y)
-        dx = float(self.domain.delta_many(np.array([[px.x, px.y]]))[0])
         if self._coincide(px, py):
-            return PathPolyline(np.array([[px.x, px.y]]), np.array([dx]))
+            return self._polyline(px, py, None)
         u, _, _ = self.attach(px)
         v, _, _ = self.attach(py)
-        dy = float(self.domain.delta_many(np.array([[py.x, py.y]]))[0])
         if u == v:
             chain = [u]
         else:
             self._check_component(u, v)
             _, pred = self._sweep(self._metric(inner)[0], u, predecessors=True)
             chain = self._chain(pred, u, v)
+        return self._polyline(px, py, chain)
+
+    def _polyline(self, px, py, chain) -> PathPolyline:
+        """x, the chain's node centers, then y; x alone when chain is None."""
+        dx = float(self.domain.delta_many(np.array([[px.x, px.y]]))[0])
+        if chain is None:
+            return PathPolyline(np.array([[px.x, px.y]]), np.array([dx]))
+        dy = float(self.domain.delta_many(np.array([[py.x, py.y]]))[0])
         points = np.vstack([[px.x, px.y], self.centers[chain], [py.x, py.y]])
         deltas = np.concatenate([[dx], self.deltas[chain], [dy]])
         return PathPolyline(points, deltas)
@@ -203,6 +237,16 @@ class GridGraph:
 
     def inner_geodesic(self, x, y) -> PathPolyline:
         return self._geodesic(x, y, inner=True)
+
+    def qh_distance_and_geodesic(self, x, y) -> tuple[float, PathPolyline]:
+        """qh_distance(x, y) and a geodesic, both from one predecessor sweep.
+
+        The distance is bitwise qh_distance(x, y). The sweep runs from the
+        lower node id, so where shortest paths tie the geodesic may differ
+        from qh_geodesic(x, y), which sweeps from x's node.
+        """
+        k, chain = self._route(x, y, inner=False, predecessors=True)
+        return k, self._polyline(as_point(x), as_point(y), chain)
 
     def qh_distances(self, sources, targets) -> np.ndarray:
         """k(x, y) for every source x (rows) and target y (columns).
@@ -240,8 +284,10 @@ class GridGraph:
     def node_field(self, node: int) -> np.ndarray:
         return self._sweep(self.csr_qh, int(node))
 
-    def node_field_with_pred(self, node: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._sweep(self.csr_qh, int(node), predecessors=True)
+    def node_field_with_pred(self, node: int, limit: float = np.inf
+                             ) -> tuple[np.ndarray, np.ndarray]:
+        """Graph distances and predecessors from one node, exact up to limit."""
+        return self._sweep(self.csr_qh, int(node), predecessors=True, limit=limit)
 
     def multi_source_field(self, nodes, limit: float = np.inf) -> np.ndarray:
         """Min quasihyperbolic graph distance from a node set to every node.
@@ -254,9 +300,15 @@ class GridGraph:
             raise ValueError("need at least one source node")
         return self._sweep(self.csr_qh, nodes, min_only=True, limit=limit)
 
-    def node_distance_matrix(self, nodes, chunk: int = 45) -> np.ndarray:
-        """Pairwise graph distances between the given nodes."""
+    def node_distance_matrix(self, nodes) -> np.ndarray:
+        """Pairwise graph distances between the given nodes.
+
+        A multi-source sweep returns a full row per source, and only the
+        given nodes' columns are kept, so sources go in batches of 2^20 /
+        node_count (at least one): each batch's rows stay under 8 MB.
+        """
         nodes = np.asarray(nodes, dtype=np.int64)
+        chunk = max(1, (1 << 20) // self.node_count)
         out = np.empty((len(nodes), len(nodes)))
         for s in range(0, len(nodes), chunk):
             out[s:s + chunk] = self._sweep(self.csr_qh, nodes[s:s + chunk])[:, nodes]
@@ -265,6 +317,21 @@ class GridGraph:
 
 def _level_keys(ix: np.ndarray, iy: np.ndarray, ny: int) -> np.ndarray:
     return ix.astype(np.int64) * np.int64(ny) + iy.astype(np.int64)
+
+
+def _child_tiles(tx: np.ndarray, ty: np.ndarray, parent_delta: np.ndarray,
+                 lo: np.ndarray, h: float, reach: float) -> Tiles:
+    """Screen for the four children of each split cell, tiled by level-0 cell.
+
+    (tx, ty) is each parent's level-0 ancestor. Parents come grouped by
+    ancestor and each parent's children are consecutive, so a run of equal
+    ancestors is a run of children inside that level-0 cell. reach is the
+    child-parent center distance plus a float slack.
+    """
+    starts = np.flatnonzero(np.r_[True, (tx[1:] != tx[:-1]) | (ty[1:] != ty[:-1])])
+    box_lo = lo + np.column_stack([tx[starts], ty[starts]]) * h
+    bound = np.maximum.reduceat(parent_delta, starts) + reach
+    return Tiles(box_lo, box_lo + h, bound, 4 * np.diff(np.r_[starts, len(tx)]))
 
 
 def build_grid(domain: Domain, gp: GridParams) -> GridGraph:
@@ -282,10 +349,12 @@ def build_grid(domain: Domain, gp: GridParams) -> GridGraph:
     lev_iy: list[np.ndarray] = []
     lev_cent: list[np.ndarray] = []
     lev_delta: list[np.ndarray] = []
+    tiles = None  # level 0 is evaluated in full
+    slack = 1e-9 * domain.scale
     for lev in range(levels_max + 1):
         s = h / (1 << lev)
         cent = lo + (np.column_stack([cur_ix, cur_iy]) + 0.5) * s
-        dist = domain.delta_many(cent)
+        dist = domain.delta_many(cent, tiles)
         if lev < levels_max:
             split = dist < 8.0 * s
         else:
@@ -311,6 +380,8 @@ def build_grid(domain: Domain, gp: GridParams) -> GridGraph:
                     lev_cent.append(np.zeros((0, 2)))
                     lev_delta.append(np.zeros(0))
                 break
+            tiles = _child_tiles(six >> lev, siy >> lev, dist[split], lo, h,
+                                 0.25 * math.sqrt(2.0) * s + slack)
 
     counts = [len(a) for a in lev_ix]
     total = int(sum(counts))
@@ -359,28 +430,25 @@ def build_grid(domain: Domain, gp: GridParams) -> GridGraph:
             for ax, ay in side + corner:
                 lookup(lev + 1, 2 * ix + ax, 2 * iy + ay, src)
 
-    if edges_u:
-        eu = np.concatenate(edges_u)
-        ev = np.concatenate(edges_v)
-        seg = centers[ev] - centers[eu]
-        elen = np.hypot(seg[:, 0], seg[:, 1])
-        # certified-inside edges skip the crossing test: the segment lies in
-        # the delta-ball of one endpoint whenever min(delta) > |u-v|
-        need = np.minimum(deltas[eu], deltas[ev]) <= elen
-        ok = np.ones(len(eu), dtype=bool)
-        if need.any():
-            ok[need] = ~domain.crossings(centers[eu[need]], centers[ev[need]])
-        eu, ev, elen = eu[ok], ev[ok], elen[ok]
-        wq = elen * 0.5 * (1.0 / deltas[eu] + 1.0 / deltas[ev])
-        rows = np.concatenate([eu, ev])
-        cols = np.concatenate([ev, eu])
-        csr_qh = sparse.csr_matrix(
-            (np.concatenate([wq, wq]), (rows, cols)), shape=(total, total))
-        csr_euc = sparse.csr_matrix(
-            (np.concatenate([elen, elen]), (rows, cols)), shape=(total, total))
-    else:
-        csr_qh = sparse.csr_matrix((total, total))
-        csr_euc = sparse.csr_matrix((total, total))
+    eu = np.concatenate(edges_u or [np.zeros(0, dtype=np.int64)])
+    ev = np.concatenate(edges_v or [np.zeros(0, dtype=np.int64)])
+    seg = centers[ev] - centers[eu]
+    elen = np.hypot(seg[:, 0], seg[:, 1])
+    # certified-inside edges skip the crossing test: the segment lies in
+    # the delta-ball of one endpoint whenever min(delta) > |u-v|
+    need = np.minimum(deltas[eu], deltas[ev]) <= elen
+    ok = np.ones(len(eu), dtype=bool)
+    if need.any():
+        ok[need] = ~domain.crossings(centers[eu[need]], centers[ev[need]])
+    eu, ev, elen = eu[ok], ev[ok], elen[ok]
+    wq = elen * 0.5 * (1.0 / deltas[eu] + 1.0 / deltas[ev])
+    # one COO->CSR conversion of edge ids gives the layout both weights share
+    ids = np.arange(len(eu), dtype=np.int32)
+    layout = sparse.csr_matrix((np.concatenate([ids, ids]),
+                                (np.concatenate([eu, ev]), np.concatenate([ev, eu]))),
+                               shape=(total, total))
+    csr_qh, csr_euc = (sparse.csr_matrix((w[layout.data], layout.indices, layout.indptr),
+                                         shape=(total, total)) for w in (wq, elen))
 
     _, labels = csgraph.connected_components(csr_qh, directed=False)
 

@@ -178,11 +178,10 @@ def bh_quasigeodesic_check(g: GridGraph, pairs,
         if px.x == py.x and px.y == py.y:
             notes.append(f"skipped coincident pair ({px.x:g}, {px.y:g})")
             continue
-        k = g.qh_distance(px, py)
+        k, qh_geo = g.qh_distance_and_geodesic(px, py)
         h = hyp_distance_disk(px, py, n)
         hyp_geo = hyp_geodesic_disk(px, py, n_points)
         qh_of_hyp = float(hyp_geo.cum_qh[-1])
-        qh_geo = g.qh_geodesic(px, py)
         hyp_of_qh = float(hyp_polyline_length(qh_geo.points, n)[-1])
         k_hat = max(k_hat, qh_of_hyp / k)
         h_hat = max(h_hat, hyp_of_qh / h)

@@ -1,5 +1,6 @@
 """Boundary probes and hyperbolicity estimates."""
 import numpy as np
+import pytest
 
 from qhgeo import (estimate_delta_four_point, estimate_delta_thin_triangles,
                    gromov_product, gromov_product_boundary_probe, loop_probe,
@@ -88,6 +89,55 @@ def test_slit_loop_suspected(slit_grid, slit_domain):
     vis = visibility_probe(slit_grid, slit_domain.anchors["rim_east"],
                            slit_domain.anchors["rim_west"], (-0.5, 0.0), SCALES)
     assert vis.verdict == "visible"
+
+
+def _slit_probes(g, dom):
+    arcs = [dom.anchors["slit_mid_top"], dom.anchors["slit_mid_bottom"]]
+    return [loop_probe(g, arcs[0], (-0.5, 0.0), SCALES, arcs),
+            visibility_probe(g, dom.anchors["rim_east"], dom.anchors["rim_west"],
+                             (-0.5, 0.0), SCALES)]
+
+
+def _comb_probes(g, dom):
+    args = (dom.anchors["comb_left_mid"], dom.anchors["comb_left_low"],
+            dom.anchors["comb_upper"].point, SCALES)
+    return [visibility_probe(g, *args), gromov_product_boundary_probe(g, *args)]
+
+
+@pytest.mark.parametrize("grid,domain,probes", [
+    ("slit_grid", "slit_domain", _slit_probes),
+    ("comb_grid", "comb_domain", _comb_probes)])
+def test_ladder_sweep_limit_is_exact(grid, domain, probes, request, monkeypatch):
+    # the ladder cuts each x_k sweep at the triangle bound through x0; the
+    # nodes it reaches carry the full sweep's distances and predecessors,
+    # so k_xy and the chain (hence m and clearance) do not change
+    g, dom = request.getfixturevalue(grid), request.getfixturevalue(domain)
+    real = g.node_field_with_pred
+    sweeps = []
+
+    def full(node, limit=np.inf):
+        return real(node)
+
+    def limited(node, limit=np.inf):
+        out = real(node, limit)
+        sweeps.append((node, limit, *out))
+        return out
+
+    monkeypatch.setattr(g, "node_field_with_pred", full)
+    want = [r.to_dict() for r in probes(g, dom)]
+    monkeypatch.setattr(g, "node_field_with_pred", limited)
+    assert [r.to_dict() for r in probes(g, dom)] == want
+    assert sweeps
+    cut = 0
+    for node, limit, dist, pred in sweeps:
+        full_dist, full_pred = real(node)
+        reached = np.isfinite(dist)
+        assert np.isfinite(limit)
+        assert dist[reached].tobytes() == full_dist[reached].tobytes()
+        assert (pred[reached] == full_pred[reached]).all()
+        assert (full_dist[~reached] > limit).all()
+        cut += int((~reached).sum())
+    assert cut > 0
 
 
 def test_four_point_estimate_determinism(disk64):

@@ -4,7 +4,9 @@ import pytest
 
 from conftest import sample_interior
 from qhgeo import GridParams, build_grid, compile_domain, nearest_node
+from qhgeo.curves import ArcPiece, SegPiece, pieces_distance
 from qhgeo.errors import (DomainError, ResolutionError, UnreachableError)
+from qhgeo.suites import load_suite_params
 
 
 def test_coarse_disk_grid_exact(disk_domain):
@@ -139,6 +141,73 @@ def test_weights_bitwise_symmetric(grid, request):
         assert np.array_equal(a.indptr, t.indptr)
         assert np.array_equal(a.indices, t.indices)
         assert a.data.tobytes() == t.data.tobytes()
+
+
+@pytest.mark.parametrize("grid", ["disk128", "slit_grid", "comb_grid"])
+def test_weights_share_one_structure(grid, request):
+    # one CSR layout for both weights, with the index dtypes scipy picks for
+    # a COO->CSR conversion, and each entry the weight of its own edge
+    g = request.getfixturevalue(grid)
+    q, e = g.csr_qh, g.csr_euc
+    assert np.shares_memory(q.indices, e.indices)
+    assert np.shares_memory(q.indptr, e.indptr)
+    assert q.indices.dtype == q.indptr.dtype == np.int32
+    rows = np.repeat(np.arange(g.node_count), np.diff(q.indptr))
+    seg = g.centers[q.indices] - g.centers[rows]
+    elen = np.hypot(seg[:, 0], seg[:, 1])
+    assert e.data.tobytes() == elen.tobytes()
+    wq = elen * 0.5 * (1.0 / g.deltas[rows] + 1.0 / g.deltas[q.indices])
+    assert q.data.tobytes() == wq.tobytes()
+
+
+_SUITES = load_suite_params()
+
+
+@pytest.mark.parametrize("spec,h,layers", [
+    *[(_SUITES[n]["domain"], _SUITES[n]["h"], _SUITES[n]["layers"])
+      for n in ("example8", "disk_reference", "comb", "slit")],
+    ({"type": "union", "parts": [{"type": "disk", "center": [-0.4, 0], "radius": 0.7},
+                                 {"type": "disk", "center": [0.4, 0], "radius": 0.7}]},
+     1 / 32, 3),
+    ({"type": "polygon", "vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]},
+     1 / 16, 4),
+], ids=["example8", "disk_reference", "comb", "slit", "two_disks", "polygon"])
+def test_screened_delta_is_exact(spec, h, layers, monkeypatch):
+    # every delta build_grid evaluates, split cells included, equals the
+    # unscreened min over all pieces bit for bit
+    domain = compile_domain(spec)
+    real = domain.delta_many
+    evaluated = [0]   # points handed to any piece's distances
+    screened = []     # (points, piece evaluations) of each screened call
+
+    def checked(pts, tiles=None):
+        before = evaluated[0]
+        got = real(pts, tiles)
+        work = evaluated[0] - before
+        want = pieces_distance(domain.pieces, pts)
+        if tiles is not None:
+            screened.append((len(pts), work))
+            # the contract the screen relies on: each run's points lie in
+            # its box and within its bound of the boundary
+            assert tiles.sizes.sum() == len(pts)
+            assert (want <= np.repeat(tiles.bound, tiles.sizes)).all()
+            assert (pts >= np.repeat(tiles.lo, tiles.sizes, axis=0)).all()
+            assert (pts <= np.repeat(tiles.hi, tiles.sizes, axis=0)).all()
+        assert got.tobytes() == want.tobytes()
+        return got
+
+    for cls in (ArcPiece, SegPiece):
+        def counted(piece, pts, _real=cls.distances):
+            evaluated[0] += len(pts)
+            return _real(piece, pts)
+        monkeypatch.setattr(cls, "distances", counted)
+    monkeypatch.setattr(domain, "delta_many", checked)
+    build_grid(domain, GridParams(h=h, boundary_layer=layers))
+    assert len(screened) == layers
+    if len(domain.pieces) > 1:
+        # the screen does skip pieces
+        points, work = np.sum(screened, axis=0)
+        assert work < points * len(domain.pieces)
 
 
 def test_multi_source_field_is_min_of_node_fields(slit_grid):

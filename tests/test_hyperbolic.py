@@ -7,6 +7,7 @@ from qhgeo import (MINUS_FOUR, MINUS_ONE, bh_quasigeodesic_check,
                    compare_metrics_disk, disk_automorphism, hyp_density,
                    hyp_distance_disk, hyp_geodesic_disk, hyp_polyline_length,
                    path_csv_with_hyp)
+from qhgeo import grid as grid_module
 from qhgeo.errors import ConstraintError, DomainError
 
 
@@ -127,6 +128,42 @@ def test_bh_quasigeodesic_small_set(disk128):
     diam = rep.rows[0]
     assert abs(diam[2] / diam[3] - 1) < 0.03
     assert abs(diam[4] / diam[5] - 1) < 0.03
+
+
+def test_bh_one_sweep_per_pair(disk128, monkeypatch):
+    # one predecessor sweep per pair gives k and the geodesic; k stays
+    # bitwise qh_distance, pinned here at its values before the merge
+    real = grid_module.csgraph
+
+    class Counting:
+        calls = 0
+
+        def dijkstra(self, *args, **kwargs):
+            Counting.calls += 1
+            return real.dijkstra(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+    monkeypatch.setattr(grid_module, "csgraph", Counting())
+    rep = bh_quasigeodesic_check(disk128, [((-0.5, 0.0), (0.5, 0.0)),
+                                           ((0.9, 0), (0, 0.9)),
+                                           ((0.2, 0.2), (0.2, 0.2))])
+    assert Counting.calls == 2
+    assert [float.hex(r[3]) for r in rep.rows] == ["0x1.689adb4d74918p+0",
+                                                   "0x1.23fa94e596a89p+2"]
+    # the second pair and both below sweep from the second point's node
+    # (the lower id) and reverse the chain
+    swapped = bh_quasigeodesic_check(disk128, [((0.5, 0.0), (-0.5, 0.0)),
+                                               ((0.3, -0.4), (-0.6, 0.1))])
+    assert [float.hex(r[3]) for r in swapped.rows] == ["0x1.689adb4d74918p+0",
+                                                       "0x1.a8b45afd5e97cp+0"]
+    for p, q, _, k, _, _ in rep.rows + swapped.rows:
+        assert k == disk128.qh_distance(p, q)
+        path = disk128.qh_distance_and_geodesic(p, q)[1]
+        ends = [disk128.centers[disk128.attach(t)[0]].tolist() for t in (p, q)]
+        assert path.points[[0, -1]].tolist() == [list(p), list(q)]
+        assert path.points[[1, -2]].tolist() == ends
 
 
 def test_csv_with_hyp_column():
