@@ -31,6 +31,20 @@ graph and skips the transpose scipy builds for an undirected call. A sweep
 may stop at a distance limit; the nodes it reaches are exact, because
 Dijkstra settles nodes in order of distance and every prefix of a shortest
 path is itself within the limit.
+
+Point-to-point sweeps (the distances, the geodesics and qh_distances) stop
+at a limit taken from a hub field: one full sweep, per metric, from the
+hub, the deepest node (argmax of delta, lowest id on a tie). The path from
+u through the hub to t bounds d(u, t) by f[u] + f[t], so a sweep from u
+cut at max_t (f[u] + f[t]) * (1 + 1e-9) reaches every target t with the
+same float it gets in a full sweep. A target left unreached raises
+InternalInvariantError. The field is built at a metric's second
+point-to-point sweep, not its first: a one-shot query would otherwise pay a
+second full sweep for a bound it never reuses. A first sweep that starts at
+the hub runs in full anyway, so it is kept as the field. When the hub lies in
+another component than u, f[u] is inf, so is the limit, and the sweep runs
+in full. The full-field calls (dist_field, node_field, node_field_with_pred,
+multi_source_field, node_distance_matrix) never use the hub field.
 """
 from __future__ import annotations
 
@@ -44,7 +58,8 @@ from scipy.spatial import cKDTree
 
 from .curves import Tiles
 from .domains import Domain, FootFingersSpec, foot_fingers_layout
-from .errors import DomainError, ResolutionError, UnreachableError
+from .errors import (DomainError, InternalInvariantError, ResolutionError,
+                     UnreachableError)
 from .geometry import as_point
 from .paths import PathPolyline
 
@@ -65,7 +80,12 @@ class GridParams:
 
 
 class GridGraph:
-    """Immutable weighted grid graph over a compiled domain."""
+    """Immutable weighted grid graph over a compiled domain.
+
+    The graph never changes after the build. Its one piece of mutable state
+    is a lazy cache of at most two hub fields, one per metric, that bound
+    the point-to-point sweeps (see the module docstring).
+    """
 
     def __init__(self, domain: Domain, params: GridParams, centers: np.ndarray,
                  deltas: np.ndarray, levels: np.ndarray, csr_qh, csr_euc,
@@ -80,6 +100,9 @@ class GridGraph:
         self.labels = labels
         self.warnings = warnings
         self._tree = cKDTree(centers)
+        self._hub = int(np.argmax(deltas))
+        # inner -> read-only hub field; None once the first sweep has run
+        self._hub_fields: dict[bool, np.ndarray | None] = {}
 
     @property
     def node_count(self) -> int:
@@ -157,6 +180,41 @@ class GridGraph:
         """(edge weights, index of the matching stub in attach's result)."""
         return (self.csr_euc, 2) if inner else (self.csr_qh, 1)
 
+    def _hub_limit(self, inner: bool, u: int, targets: list[int]) -> float:
+        """A bound on the distance from node u to every target node.
+
+        The path through the hub gives max_t (f[u] + f[t]), f the hub field;
+        the slack covers float rounding only. The metric's first sweep gets
+        no bound and its second builds f (unless _reach kept the first as
+        f), so a one-shot query pays no extra sweep. Across components f is
+        inf and so is the bound.
+        """
+        if inner not in self._hub_fields:
+            self._hub_fields[inner] = None
+            return np.inf
+        f = self._hub_fields[inner]
+        if f is None:
+            f = self._keep_hub(inner, self._sweep(self._metric(inner)[0], self._hub))
+        return float(f[u] + f[targets].max()) * (1 + 1e-9)
+
+    def _keep_hub(self, inner: bool, field: np.ndarray) -> np.ndarray:
+        field.setflags(write=False)
+        self._hub_fields[inner] = field
+        return field
+
+    def _reach(self, inner: bool, u: int, targets: list[int],
+               predecessors: bool = False):
+        """A sweep from node u, stopped at the hub bound to the target nodes."""
+        out = self._sweep(self._metric(inner)[0], u, predecessors=predecessors,
+                          limit=self._hub_limit(inner, u, targets))
+        dist = out[0] if predecessors else out
+        if not np.isfinite(dist[targets]).all():
+            raise InternalInvariantError("target node beyond the hub-field bound")
+        if u == self._hub and self._hub_fields[inner] is None:
+            # a first sweep runs in full, so from the hub it is the hub field
+            self._keep_hub(inner, dist)
+        return out
+
     def _coincide(self, px, py) -> bool:
         """Whether the two query points are equal; equal points must lie inside."""
         if px.x != py.x or px.y != py.y:
@@ -175,7 +233,7 @@ class GridGraph:
         px, py = as_point(x), as_point(y)
         if self._coincide(px, py):
             return 0.0, None
-        weights, k = self._metric(inner)
+        k = self._metric(inner)[1]
         ax, ay = self.attach(px), self.attach(py)
         u, v = ax[0], ay[0]
         stubs = ax[k] + ay[k]
@@ -184,8 +242,8 @@ class GridGraph:
         self._check_component(u, v)
         lo, hi = min(u, v), max(u, v)
         if not predecessors:
-            return stubs + float(self._sweep(weights, lo)[hi]), None
-        d, pred = self._sweep(weights, lo, predecessors=True)
+            return stubs + float(self._reach(inner, lo, [hi])[hi]), None
+        d, pred = self._reach(inner, lo, [hi], predecessors=True)
         chain = self._chain(pred, lo, hi)
         return stubs + float(d[hi]), chain if lo == u else chain[::-1]
 
@@ -202,7 +260,7 @@ class GridGraph:
             chain = [u]
         else:
             self._check_component(u, v)
-            _, pred = self._sweep(self._metric(inner)[0], u, predecessors=True)
+            _, pred = self._reach(inner, u, [v], predecessors=True)
             chain = self._chain(pred, u, v)
         return self._polyline(px, py, chain)
 
@@ -263,17 +321,18 @@ class GridGraph:
         for i, s in enumerate(sources):
             ps = as_point(s)
             u, stub_u, _ = self.attach(ps)
-            field = None
+            cols = []  # targets on another node than the source's
             for j, (pt, (v, stub_v, _)) in enumerate(zip(tgts, t_att)):
                 if ps.x == pt.x and ps.y == pt.y:
                     out[i, j] = 0.0
-                elif u == v:
-                    out[i, j] = stub_u + stub_v
-                else:
+                    continue
+                out[i, j] = stub_u + stub_v
+                if u != v:
                     self._check_component(u, v)
-                    if field is None:
-                        field = self._sweep(self.csr_qh, u)
-                    out[i, j] = stub_u + stub_v + float(field[v])
+                    cols.append(j)
+            if cols:
+                nodes = [t_att[j][0] for j in cols]
+                out[i, cols] += self._reach(False, u, nodes)[nodes]
         return out
 
     def dist_field(self, source) -> np.ndarray:

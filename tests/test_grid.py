@@ -3,9 +3,12 @@ import numpy as np
 import pytest
 
 from conftest import sample_interior
-from qhgeo import GridParams, build_grid, compile_domain, nearest_node
+from qhgeo import (GridGraph, GridParams, build_grid, compile_domain,
+                   gromov_product, nearest_node)
+from qhgeo import grid as grid_module
 from qhgeo.curves import ArcPiece, SegPiece, pieces_distance
-from qhgeo.errors import (DomainError, ResolutionError, UnreachableError)
+from qhgeo.errors import (DomainError, InternalInvariantError, ResolutionError,
+                          UnreachableError)
 from qhgeo.suites import load_suite_params
 
 
@@ -248,12 +251,17 @@ def test_node_field_with_pred(disk128):
     assert w == u
 
 
-def test_unreachable_components():
+def _split_disk():
+    """The unit disk cut in two along the x-axis, as a fresh grid."""
     split = compile_domain({"type": "slits",
                             "base": {"type": "disk", "center": [0, 0], "radius": 1},
                             "segments": [[[-1, 0], [1, 0]]]},
                            check_connectivity=False)
-    g = build_grid(split, GridParams(h=1 / 32, boundary_layer=1))
+    return build_grid(split, GridParams(h=1 / 32, boundary_layer=1))
+
+
+def test_unreachable_components():
+    g = _split_disk()
     assert len(set(g.labels.tolist())) == 2
     with pytest.raises(UnreachableError):
         g.qh_distance((0, 0.5), (0, -0.5))
@@ -277,3 +285,164 @@ def test_refinement_tightens_distances(disk64, disk128, disk_domain):
         assert kb <= ka + max(1e-6, 1.5 * h / dmin)
         diffs.append(kb - ka)
     assert np.mean(diffs) < 0.0
+
+
+# -- hub-field bound on point-to-point sweeps ---------------------------------
+
+def _fresh(g):
+    """The same graph with no sweep run yet, so no hub field."""
+    return GridGraph(g.domain, g.params, g.centers, g.deltas, g.levels,
+                     g.csr_qh, g.csr_euc, g.labels, g.warnings)
+
+
+class _CountingCsgraph:
+    """Stands in for qhgeo.grid.csgraph and records each sweep's limit."""
+
+    def __init__(self, real):
+        self.real = real
+        self.limits = []
+
+    def dijkstra(self, *args, **kwargs):
+        self.limits.append(kwargs["limit"])
+        return self.real.dijkstra(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    counting = _CountingCsgraph(grid_module.csgraph)
+    monkeypatch.setattr(grid_module, "csgraph", counting)
+    return counting.limits
+
+
+def _mirror_pairs(domain, n, seed):
+    """Sampled points paired with their mirror images in the box's midlines."""
+    lo, hi = np.asarray(domain.bbox_lo), np.asarray(domain.bbox_hi)
+    pts = np.asarray(sample_interior(domain, n, seed, min_delta=0.01))
+    pairs = list(zip(map(tuple, pts[0::2]), map(tuple, pts[1::2])))
+    for flip in ([-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]):
+        mir = (lo + hi) / 2 + flip * (pts - (lo + hi) / 2)
+        ok = domain.contains_many(mir) & (domain.delta_many(mir) > 0.01)
+        pairs += list(zip(map(tuple, pts[ok]), map(tuple, mir[ok])))
+    return pairs
+
+
+def _full_k(g, x, y, inner=False):
+    """k(x, y) as one full sweep from the lower node id gives it."""
+    weights, s = g._metric(inner)
+    ax, ay = g.attach(x), g.attach(y)
+    lo, hi = sorted((ax[0], ay[0]))
+    return ax[s] + ay[s] + float(g._sweep(weights, lo)[hi])
+
+
+@pytest.mark.parametrize("grid,domain", [("disk128", "disk_domain"),
+                                         ("slit_grid", "slit_domain"),
+                                         ("comb_grid", "comb_domain")])
+def test_hub_bound_is_exact(grid, domain, request):
+    # bounded sweeps give every distance bit for bit as a full sweep does,
+    # symmetric pairs (mirror ties) included
+    g = request.getfixturevalue(grid)
+    pairs = _mirror_pairs(request.getfixturevalue(domain), 4, seed=3)
+    pairs = [(x, y) for x, y in pairs if g.attach(x)[0] != g.attach(y)[0]]
+    assert len(pairs) >= 6
+    for inner in (False, True):  # two sweeps per metric build both fields
+        for x, y in pairs[:2]:
+            g._distance(x, y, inner)
+    assert all(g._hub_fields[inner] is not None for inner in (False, True))
+    full_k = {}
+    for x, y in pairs:
+        full_k[x, y] = k = _full_k(g, x, y)
+        assert g.qh_distance(x, y) == k
+        assert g.qh_distance_and_geodesic(x, y)[0] == k
+        assert g.inner_distance(x, y) == _full_k(g, x, y, inner=True)
+    o = pairs[0][0]
+    u, stub_o, _ = g.attach(o)
+    full = g.node_field(u)
+
+    def k_o(t):
+        v, stub_t, _ = g.attach(t)
+        return stub_o + stub_t + float(full[v])
+
+    rest = [(x, y) for x, y in pairs[1:] if u not in (g.attach(x)[0], g.attach(y)[0])]
+    ends = [t for pair in rest for t in pair]
+    want = np.array([k_o(t) for t in ends])
+    assert g.qh_distances([o], ends)[0].tobytes() == want.tobytes()
+    for x, y in rest[:3]:
+        assert gromov_product(g, o, x, y) == 0.5 * (k_o(x) + k_o(y) - full_k[x, y])
+
+
+@pytest.mark.parametrize("grid,domain", [("disk128", "disk_domain"),
+                                         ("slit_grid", "slit_domain"),
+                                         ("comb_grid", "comb_domain")])
+def test_hub_bound_keeps_geodesics(grid, domain, request):
+    # on a fresh graph the first call sweeps in full and a repeat is bounded;
+    # both give the same chain
+    g = request.getfixturevalue(grid)
+    for x, y in _mirror_pairs(request.getfixturevalue(domain), 4, seed=5)[:4]:
+        h = _fresh(g)
+        for geodesic in (h.qh_geodesic, h.inner_geodesic):
+            first = geodesic(x, y).points
+            assert geodesic(x, y).points.tobytes() == first.tobytes()
+        assert all(h._hub_fields[inner] is not None for inner in (False, True))
+
+
+def test_hub_field_sweep_counts(disk64, sweeps):
+    g = _fresh(disk64)
+    g.qh_distance((0.1, 0.2), (-0.4, 0.3))
+    assert sweeps == [np.inf]
+    g.qh_distance((0.5, 0.1), (-0.2, -0.6))
+    assert sweeps[1] == np.inf and np.isfinite(sweeps[2]) and len(sweeps) == 3
+    g.qh_distances([(0.3, -0.3)], [(0.0, 0.7), (-0.7, 0.0)])
+    assert len(sweeps) == 4 and np.isfinite(sweeps[3])
+    hub = g._hub_fields[False]
+    assert not hub.flags.writeable and hub[np.argmax(g.deltas)] == 0.0
+    # the Euclidean metric has its own field, built at its own second sweep
+    g.inner_distance((0.1, 0.2), (-0.4, 0.3))
+    assert sweeps[4] == np.inf and len(sweeps) == 5 and g._hub_fields[True] is None
+
+
+def test_first_sweep_from_hub_is_kept(disk64, sweeps):
+    # a first sweep from the hub is full, so it serves as the hub field
+    g = _fresh(disk64)
+    centre = tuple(g.centers[np.argmax(g.deltas)])
+    k = g.qh_distance(centre, (0.5, 0.1))
+    assert sweeps == [np.inf] and not g._hub_fields[False].flags.writeable
+    assert g._hub_fields[False].tobytes() == g.node_field(np.argmax(g.deltas)).tobytes()
+    del sweeps[:]
+    assert g.qh_distance((0.5, 0.1), centre) == k
+    assert len(sweeps) == 1 and np.isfinite(sweeps[0])
+
+
+def test_hub_in_other_component(sweeps):
+    # the hub lies in the lower half, so upper-half queries run in full
+    g = _split_disk()
+    x, y = (0.3, 0.5), (-0.4, 0.2)
+    want = _full_k(g, x, y)
+    g.qh_distance((0.1, 0.6), (-0.1, 0.4))
+    g.qh_distance((0.2, 0.7), (-0.2, 0.3))
+    hub = int(np.argmax(g.deltas))
+    assert g.labels[hub] != g.labels[g.attach(x)[0]]
+    del sweeps[:]
+    assert g.qh_distance(x, y) == want
+    assert sweeps == [np.inf]
+    # in the hub's half the bound applies
+    x, y = (0.3, -0.5), (-0.4, -0.2)
+    want = _full_k(g, x, y)
+    del sweeps[:]
+    assert g.qh_distance(x, y) == want
+    assert len(sweeps) == 1 and np.isfinite(sweeps[0])
+
+
+def test_hub_bound_too_small_raises(disk64, monkeypatch):
+    g = _fresh(disk64)
+    short = np.zeros(g.node_count)
+    short.setflags(write=False)
+    monkeypatch.setitem(g._hub_fields, False, short)
+    with pytest.raises(InternalInvariantError):
+        g.qh_distance((0.1, 0.2), (-0.4, 0.3))
+    with pytest.raises(InternalInvariantError):
+        g.qh_geodesic((0.1, 0.2), (-0.4, 0.3))
+    with pytest.raises(InternalInvariantError):
+        g.qh_distances([(0.1, 0.2)], [(-0.4, 0.3)])

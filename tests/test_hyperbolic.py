@@ -132,7 +132,11 @@ def test_bh_quasigeodesic_small_set(disk128):
 
 def test_bh_one_sweep_per_pair(disk128, monkeypatch):
     # one predecessor sweep per pair gives k and the geodesic; k stays
-    # bitwise qh_distance, pinned here at its values before the merge
+    # bitwise qh_distance, pinned here at its values before the merge.
+    # disk128 is shared across tests, so two sweeping queries first put its
+    # qh hub field in place whatever ran before; the count is then exact
+    disk128.qh_distance((0.1, 0.2), (-0.4, 0.3))
+    disk128.qh_distance((0.5, 0.1), (-0.2, -0.6))
     real = grid_module.csgraph
 
     class Counting:
