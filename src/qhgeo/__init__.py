@@ -11,7 +11,7 @@ ball-separation ratios, and closed-form hyperbolic comparisons on the disk.
 from .analysis import (DeltaEstimate, ProbeReport, estimate_delta_four_point,
                        estimate_delta_thin_triangles, gromov_product,
                        gromov_product_boundary_probe, loop_probe,
-                       visibility_probe)
+                       visibility_and_gromov_probes, visibility_probe)
 from .conditions import (BallSeparationReport, ConeArcStats, GhReport,
                          GrowthFunction, GrowthReport, IntegralReport,
                          JohnReport, QhbcFit, ball_separation_check,
@@ -25,7 +25,7 @@ from .errors import (AnchorError, ConstraintError, DisconnectedDomainError,
                      InternalInvariantError, ParseError, QhgeoError,
                      ResolutionError, SampleError, UnreachableError)
 from .geometry import Point2, as_point
-from .grid import (GridGraph, GridParams, build_grid, dist_field,
+from .grid import (Basepoint, GridGraph, GridParams, build_grid, dist_field,
                    inner_distance, nearest_node, qh_distance, qh_geodesic)
 from .hyperbolic import (MINUS_FOUR, MINUS_ONE, BhReport, CompareReport,
                          HypNormalization, bh_quasigeodesic_check,
@@ -38,7 +38,7 @@ from .suites import SUITE_NAMES, load_suite_params, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "Anchor", "AnchorError", "BallSeparationReport", "BhReport",
+    "Anchor", "AnchorError", "BallSeparationReport", "Basepoint", "BhReport",
     "CSV_HEADER", "CompareReport", "ConeArcStats", "ConstraintError",
     "DeltaEstimate", "DisconnectedDomainError", "Domain", "DomainError",
     "FunctionError", "GeometryError", "GhReport", "GridGraph", "GridParams",
@@ -57,5 +57,6 @@ __all__ = [
     "john_center_probe", "load_suite_params", "loop_probe",
     "make_foot_fingers", "nearest_node", "parse_domain",
     "parse_growth_function", "path_csv_with_hyp", "qh_distance", "qh_geodesic",
-    "qh_length", "qhbc_fit", "run_suite", "visibility_probe",
+    "qh_length", "qhbc_fit", "run_suite", "visibility_and_gromov_probes",
+    "visibility_probe",
 ]

@@ -8,6 +8,7 @@ restrict candidates to a 25-degree cone around the arc direction.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -17,7 +18,7 @@ from .domains import Anchor
 from .errors import (ConstraintError, GeometryError, InternalInvariantError,
                      ResolutionError, SampleError)
 from .geometry import Point2, as_point
-from .grid import GridGraph
+from .grid import Basepoint, GridGraph
 
 _CONE_COS = math.cos(math.radians(25.0))
 
@@ -264,13 +265,12 @@ def _divergence_slope(scales: list[float], m: list[float]) -> float:
     return float(np.polyfit(xs, np.asarray(m), 1)[0])
 
 
-def _probe_ladder(g: GridGraph, p: Anchor, q: Anchor, x0, scales: list[float],
-                  dir_p=None, dir_q=None, distinct: bool = False):
+def _probe_ladder(g: GridGraph, p: Anchor, q: Anchor, bp: Basepoint,
+                  scales: list[float], dir_p=None, dir_q=None,
+                  distinct: bool = False):
     """Shared endpoint-ladder engine for the three boundary probes."""
-    x0pt = as_point(x0)
-    u0, stub0, _ = g.attach(x0pt)
-    label = int(g.labels[u0])
-    field = g.node_field(u0) + stub0
+    label = int(g.labels[bp.node])
+    field = bp.field + bp.stub
     rows = []
     for t in scales:
         xk = _select_node(g, p.point, t, label, dir_p)
@@ -286,7 +286,7 @@ def _probe_ladder(g: GridGraph, p: Anchor, q: Anchor, x0, scales: list[float],
         if xk == yk:
             chain, k_xy = np.asarray([xk]), 0.0
         else:
-            # k(xk, yk) <= field[xk] + field[yk] through u0, so a sweep cut
+            # k(xk, yk) <= field[xk] + field[yk] through x0, so a sweep cut
             # there settles every prefix of the xk-yk geodesic exactly; the
             # slack covers float rounding only
             limit = (float(field[xk]) + float(field[yk])) * (1 + 1e-9)
@@ -303,12 +303,13 @@ def _probe_ladder(g: GridGraph, p: Anchor, q: Anchor, x0, scales: list[float],
     return rows
 
 
-def _report(g: GridGraph, kind: str, p: Anchor, q: Anchor, x0, scales: list[float],
-            rows, verdict: str, slope_of: list[float], **extra) -> ProbeReport:
+def _report(g: GridGraph, kind: str, p: Anchor, q: Anchor, bp: Basepoint,
+            scales: list[float], rows, verdict: str, slope_of: list[float],
+            **extra) -> ProbeReport:
     """ProbeReport from the ladder rows; slope_of is the series the slope fits."""
     return ProbeReport(
         kind=kind,
-        p=p.point.as_tuple(), q=q.point.as_tuple(), x0=as_point(x0).as_tuple(),
+        p=p.point.as_tuple(), q=q.point.as_tuple(), x0=bp.point.as_tuple(),
         scales=scales,
         endpoints=[(tuple(map(float, g.centers[r[1]])),
                     tuple(map(float, g.centers[r[2]]))) for r in rows],
@@ -334,6 +335,30 @@ def _rising_window(m: list[float], min_len: int = 3, rise: float = 2.0) -> bool:
     return False
 
 
+def _visibility_verdict(m: list[float], clear: list[float]) -> str:
+    """The visibility rule (see visibility_probe) on m and the clearances."""
+    incs = [b - a for a, b in zip(m, m[1:])]
+    vis = max(incs[-3:]) < 0.1 and clear[-1] > 0.5 * clear[0] if len(incs) >= 3 else False
+    notvis = _rising_window(m) or clear[-1] < 0.1 * clear[0]
+    if vis and not notvis:
+        return "visible"
+    if notvis and not vis:
+        return "not_visible"
+    return "inconclusive"
+
+
+def _pair_ladder(g: GridGraph, p, q, x0, scales):
+    """(p, q, scales, basepoint, rows) of a ladder between two boundary anchors."""
+    p, q = _as_anchor(p), _as_anchor(q)
+    if p.point.x == q.point.x and p.point.y == q.point.y:
+        raise ConstraintError("p and q coincide; use loop_probe for one point")
+    scales = _check_scales(scales)
+    _check_boundary(g, p.point, "anchor p")
+    _check_boundary(g, q.point, "anchor q")
+    bp = g.basepoint(x0)
+    return p, q, scales, bp, _probe_ladder(g, p, q, bp, scales)
+
+
 def visibility_probe(g: GridGraph, p, q, x0, scales) -> ProbeReport:
     """Probe whether geodesics between p- and q-approaching points stay deep.
 
@@ -341,45 +366,40 @@ def visibility_probe(g: GridGraph, p, q, x0, scales) -> ProbeReport:
     the final clearance stays above half the first; not_visible iff m rises
     monotonically over >= 3 consecutive scales with total rise >= 2, or the
     final clearance drops below a tenth of the first; else inconclusive.
+    x0 is a point or a Basepoint (see GridGraph.basepoint).
     """
-    p, q = _as_anchor(p), _as_anchor(q)
-    if p.point.x == q.point.x and p.point.y == q.point.y:
-        raise ConstraintError("p and q coincide; use loop_probe for one point")
-    scales = _check_scales(scales)
-    _check_boundary(g, p.point, "anchor p")
-    _check_boundary(g, q.point, "anchor q")
-    rows = _probe_ladder(g, p, q, x0, scales)
+    p, q, scales, bp, rows = _pair_ladder(g, p, q, x0, scales)
     m = [r[3] for r in rows]
-    clear = [r[4] for r in rows]
-    incs = [b - a for a, b in zip(m, m[1:])]
-    vis = max(incs[-3:]) < 0.1 and clear[-1] > 0.5 * clear[0] if len(incs) >= 3 else False
-    notvis = _rising_window(m) or clear[-1] < 0.1 * clear[0]
-    if vis and not notvis:
-        verdict = "visible"
-    elif notvis and not vis:
-        verdict = "not_visible"
-    else:
-        verdict = "inconclusive"
-    return _report(g, "visibility", p, q, x0, scales, rows, verdict, m)
+    return _report(g, "visibility", p, q, bp, scales, rows,
+                   _visibility_verdict(m, [r[4] for r in rows]), m)
 
 
 def gromov_product_boundary_probe(g: GridGraph, p, q, o, scales) -> ProbeReport:
     """Gromov products (x_k|y_k)_o of the visibility endpoint sequences.
 
     Verdict bounded iff the last three product increments are all < 0.1.
+    o is a point or a Basepoint.
     """
-    p, q = _as_anchor(p), _as_anchor(q)
-    if p.point.x == q.point.x and p.point.y == q.point.y:
-        raise ConstraintError("p and q coincide; use loop_probe for one point")
-    scales = _check_scales(scales)
-    _check_boundary(g, p.point, "anchor p")
-    _check_boundary(g, q.point, "anchor q")
-    rows = _probe_ladder(g, p, q, o, scales)
+    p, q, scales, bp, rows = _pair_ladder(g, p, q, o, scales)
     prods = [r[5] for r in rows]
     incs = [b - a for a, b in zip(prods, prods[1:])]
     bounded = len(incs) >= 3 and max(incs[-3:]) < 0.1
-    return _report(g, "gromov_boundary", p, q, o, scales, rows,
+    return _report(g, "gromov_boundary", p, q, bp, scales, rows,
                    "bounded" if bounded else "unbounded", prods)
+
+
+def visibility_and_gromov_probes(g: GridGraph, p, q, x0, scales
+                                 ) -> tuple[ProbeReport, ProbeReport]:
+    """visibility_probe and gromov_product_boundary_probe of the same arguments.
+
+    Both read one endpoint ladder, so it is walked once: the visibility
+    report is the Gromov report judged by the visibility rule.
+    """
+    gb = gromov_product_boundary_probe(g, p, q, x0, scales)
+    vis = copy.deepcopy(gb)
+    vis.kind, vis.verdict = "visibility", _visibility_verdict(vis.m, vis.clearance)
+    vis.divergence_slope = _divergence_slope(vis.scales, vis.m)
+    return vis, gb
 
 
 def loop_probe(g: GridGraph, p, x0, scales, arcs) -> ProbeReport:
@@ -389,6 +409,7 @@ def loop_probe(g: GridGraph, p, x0, scales, arcs) -> ProbeReport:
     Anchors whose inward normals are used). Verdict loop_suspected iff m
     varies by < 0.25 over the last three scales while the endpoints stay
     >= 4 apart; well_behaved iff m rises by >= 1 over the last three scales.
+    x0 is a point or a Basepoint.
     """
     p = _as_anchor(p)
     scales = _check_scales(scales)
@@ -411,7 +432,8 @@ def loop_probe(g: GridGraph, p, x0, scales, arcs) -> ProbeReport:
         if not n > 0:
             raise ConstraintError("arc direction must be a nonzero vector")
         dirs.append(v / n)
-    rows = _probe_ladder(g, p, p, x0, scales, dir_p=dirs[0], dir_q=dirs[1],
+    bp = g.basepoint(x0)
+    rows = _probe_ladder(g, p, p, bp, scales, dir_p=dirs[0], dir_q=dirs[1],
                          distinct=True)
     m = [r[3] for r in rows]
     k_xy = [r[6] for r in rows]
@@ -423,5 +445,5 @@ def loop_probe(g: GridGraph, p, x0, scales, arcs) -> ProbeReport:
         verdict = "well_behaved"
     else:
         verdict = "inconclusive"
-    return _report(g, "loop", p, p, x0, scales, rows, verdict, m,
+    return _report(g, "loop", p, p, bp, scales, rows, verdict, m,
                    arcs=[list(map(float, d)) for d in dirs])

@@ -32,6 +32,17 @@ def _parse_point(text: str) -> Point2:
         raise QhgeoError(f"expected a point as 'x,y', got '{text}'") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads "-0.4,0.3" as a point, not as an option: no option has a comma."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            _parse_point(arg_string)
+        except QhgeoError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def _load_domain(path: str) -> Domain:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -162,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--strict", action="store_true",
                         help="exit 4 on an inconclusive verdict")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qhgeo",
         description="Quasihyperbolic distances, geodesics, and boundary "
                     "diagnostics on planar domains.")

@@ -86,15 +86,14 @@ def john_center_probe(g: GridGraph, x0, boundary_targets, scales) -> JohnReport:
     across the scale ladder of one target or across successive targets'
     aggregates; holds iff every target's ladder has stabilized, meaning its
     last three constants stay within ratio 1.25 step to step; else
-    inconclusive.
+    inconclusive. x0 is a point or a Basepoint (see GridGraph.basepoint).
     """
     scales = [float(t) for t in scales]
     if any(b >= a for a, b in zip(scales, scales[1:])) or not scales:
         raise ConstraintError("scales must be strictly decreasing and nonempty")
-    x0pt = as_point(x0)
-    u0, _, _ = g.attach(x0pt)
+    bp = g.basepoint(x0)
+    u0 = bp.node
     label = int(g.labels[u0])
-    _, pred = g.node_field_with_pred(u0)
     targets = [a if isinstance(a, Anchor) else Anchor(as_point(a))
                for a in boundary_targets]
     constants: list[list] = []
@@ -106,7 +105,7 @@ def john_center_probe(g: GridGraph, x0, boundary_targets, scales) -> JohnReport:
             if node is None:
                 row.append(None)
                 continue
-            chain = GridGraph._chain(pred, u0, node) if node != u0 else [u0]
+            chain = GridGraph._chain(bp.pred, u0, node) if node != u0 else [u0]
             row.append(_john_constant(g, chain))
         vals = [v for v in row if v is not None]
         if not vals:
@@ -132,7 +131,7 @@ def john_center_probe(g: GridGraph, x0, boundary_targets, scales) -> JohnReport:
     # and targets of different kinds (edge vs corner) carry different limits
     bounded = all(tail_ratio(row) < 1.25 for row in constants)
     verdict = "fails_john" if fails else ("holds" if bounded else "inconclusive")
-    return JohnReport(x0pt.as_tuple(), [t.point.as_tuple() for t in targets],
+    return JohnReport(bp.point.as_tuple(), [t.point.as_tuple() for t in targets],
                       scales, constants, per_target, verdict)
 
 
@@ -167,16 +166,15 @@ def qhbc_fit(g: GridGraph, x0, n_samples: int, seed: int,
     percentile of the deepest stratum stays below 1.0. The percentile (not
     the max) judges holds because isolated corner rays carry a steeper
     log-slope than the bulk (a square's corners reach sqrt(2)), which the
-    condition tolerates but a single fitted line cannot cap pointwise.
+    condition tolerates but a single fitted line cannot cap pointwise. x0 is
+    a point or a Basepoint.
     """
     if n_samples < 10 * n_strata:
         raise SampleError(f"need at least {10 * n_strata} samples")
-    x0pt = as_point(x0)
-    u0, stub0, _ = g.attach(x0pt)
-    label = int(g.labels[u0])
-    nodes = np.flatnonzero(g.labels == label)
-    k = (g.node_field(u0) + stub0)[nodes]
-    d0 = float(g.domain.delta_many(np.array([[x0pt.x, x0pt.y]]))[0])
+    bp = g.basepoint(x0)
+    nodes = np.flatnonzero(g.labels == g.labels[bp.node])
+    k = bp.field[nodes] + bp.stub
+    d0 = float(g.domain.delta_many(np.array([[bp.point.x, bp.point.y]]))[0])
     lr = np.log(d0 / g.deltas[nodes])
     edges = np.linspace(lr.min(), lr.max(), n_strata + 1)
     which = np.clip(np.digitize(lr, edges[1:-1]), 0, n_strata - 1)
@@ -208,7 +206,7 @@ def qhbc_fit(g: GridGraph, x0, n_samples: int, seed: int,
     else:
         verdict = "inconclusive"
     samples = [(float(k[i]), float(lr[i])) for i in idx]
-    return QhbcFit(x0pt.as_tuple(), samples, float(slope), float(intercept),
+    return QhbcFit(bp.point.as_tuple(), samples, float(slope), float(intercept),
                    float(np.maximum(resid, 0.0).max()), strat_res, verdict)
 
 
@@ -332,17 +330,15 @@ def growth_check(g: GridGraph, x0, phi: GrowthFunction, n_samples: int,
     """Check k(x0, x) <= phi(delta(x0)/delta(x)) on sampled nodes.
 
     Holds iff the worst margin phi - k stays above -0.2 (slack for the
-    graph's over-approximation of k).
+    graph's over-approximation of k). x0 is a point or a Basepoint.
     """
-    x0pt = as_point(x0)
-    u0, stub0, _ = g.attach(x0pt)
-    label = int(g.labels[u0])
-    nodes = np.flatnonzero(g.labels == label)
+    bp = g.basepoint(x0)
+    nodes = np.flatnonzero(g.labels == g.labels[bp.node])
     rng = np.random.default_rng(seed)
     take = min(int(n_samples), len(nodes))
     nodes = rng.choice(nodes, size=take, replace=False)
-    k = (g.node_field(u0) + stub0)[nodes]
-    d0 = float(g.domain.delta_many(np.array([[x0pt.x, x0pt.y]]))[0])
+    k = bp.field[nodes] + bp.stub
+    d0 = float(g.domain.delta_many(np.array([[bp.point.x, bp.point.y]]))[0])
     margins = phi(d0 / g.deltas[nodes]) - k
     i = int(margins.argmin())
     verdict = "holds" if margins[i] > -0.2 else "fails"

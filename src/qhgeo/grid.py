@@ -40,11 +40,22 @@ cut at max_t (f[u] + f[t]) * (1 + 1e-9) reaches every target t with the
 same float it gets in a full sweep. A target left unreached raises
 InternalInvariantError. The field is built at a metric's second
 point-to-point sweep, not its first: a one-shot query would otherwise pay a
-second full sweep for a bound it never reuses. A first sweep that starts at
-the hub runs in full anyway, so it is kept as the field. When the hub lies in
-another component than u, f[u] is inf, so is the limit, and the sweep runs
-in full. The full-field calls (dist_field, node_field, node_field_with_pred,
-multi_source_field, node_distance_matrix) never use the hub field.
+second full sweep for a bound it never reuses. A sweep that starts at the
+hub is the hub field itself: the first one builds it, later ones read it.
+When the hub lies in another component than u, f[u] is inf, so is the
+limit, and the sweep runs in full.
+
+The diagnostics that measure k(x0, .) from a fixed basepoint (John, QHBC,
+growth, the scale-ladder probes) take x0 as a point or as a Basepoint: x0,
+its node and stub, and the read-only field and predecessors of one sweep
+from that node. GridGraph.basepoint builds one, and a caller that runs
+several diagnostics from one x0 builds it once. It is a value the caller
+holds, not state of the graph. When x0's node is the hub, the basepoint and
+the qh hub field are one and the same predecessor sweep, so the hub cache
+holds each field together with its predecessors. dist_field is a
+basepoint's field plus its stub; the other full-field calls (node_field,
+node_field_with_pred, multi_source_field, node_distance_matrix) never use
+the hub field.
 """
 from __future__ import annotations
 
@@ -58,12 +69,18 @@ from scipy.spatial import cKDTree
 
 from .curves import Tiles
 from .domains import Domain, FootFingersSpec, foot_fingers_layout
-from .errors import (DomainError, InternalInvariantError, ResolutionError,
-                     UnreachableError)
-from .geometry import as_point
+from .errors import (ConstraintError, DomainError, InternalInvariantError,
+                     ResolutionError, UnreachableError)
+from .geometry import Point2, as_point
 from .paths import PathPolyline
 
 _NO_PRED = -9999  # scipy's "no predecessor" sentinel
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -79,12 +96,29 @@ class GridParams:
             raise ResolutionError("boundary_layer must be a nonnegative integer")
 
 
+@dataclass(frozen=True, eq=False)
+class Basepoint:
+    """A basepoint x0 with the qh field of one predecessor sweep from its node.
+
+    field is the graph distance from node (without the stub) and pred the
+    sweep's predecessors; both are read-only. Build one with
+    GridGraph.basepoint and pass it wherever a diagnostic takes x0.
+    """
+    point: Point2
+    node: int
+    stub: float
+    field: np.ndarray
+    pred: np.ndarray
+    graph: GridGraph
+
+
 class GridGraph:
     """Immutable weighted grid graph over a compiled domain.
 
     The graph never changes after the build. Its one piece of mutable state
-    is a lazy cache of at most two hub fields, one per metric, that bound
-    the point-to-point sweeps (see the module docstring).
+    is a lazy cache of at most two hub fields, one per metric, each with its
+    predecessors, that bound the point-to-point sweeps (see the module
+    docstring).
     """
 
     def __init__(self, domain: Domain, params: GridParams, centers: np.ndarray,
@@ -101,8 +135,9 @@ class GridGraph:
         self.warnings = warnings
         self._tree = cKDTree(centers)
         self._hub = int(np.argmax(deltas))
-        # inner -> read-only hub field; None once the first sweep has run
-        self._hub_fields: dict[bool, np.ndarray | None] = {}
+        # inner -> read-only (hub field, predecessors); None from the metric's
+        # first, unbounded point-to-point sweep until the field is built
+        self._hub_fields: dict[bool, tuple[np.ndarray, np.ndarray] | None] = {}
 
     @property
     def node_count(self) -> int:
@@ -180,39 +215,44 @@ class GridGraph:
         """(edge weights, index of the matching stub in attach's result)."""
         return (self.csr_euc, 2) if inner else (self.csr_qh, 1)
 
+    def _hub_field(self, inner: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The metric's (hub field, predecessors), swept in full on first use."""
+        hub = self._hub_fields.get(inner)
+        if hub is None:
+            hub = self._hub_fields[inner] = _read_only(*self._sweep(
+                self._metric(inner)[0], self._hub, predecessors=True))
+        return hub
+
     def _hub_limit(self, inner: bool, u: int, targets: list[int]) -> float:
         """A bound on the distance from node u to every target node.
 
         The path through the hub gives max_t (f[u] + f[t]), f the hub field;
         the slack covers float rounding only. The metric's first sweep gets
-        no bound and its second builds f (unless _reach kept the first as
-        f), so a one-shot query pays no extra sweep. Across components f is
-        inf and so is the bound.
+        no bound and its second builds f (unless a sweep from the hub or a
+        basepoint there built it already), so a one-shot query pays no extra
+        sweep. Across components f is inf and so is the bound.
         """
         if inner not in self._hub_fields:
             self._hub_fields[inner] = None
             return np.inf
-        f = self._hub_fields[inner]
-        if f is None:
-            f = self._keep_hub(inner, self._sweep(self._metric(inner)[0], self._hub))
+        f = self._hub_field(inner)[0]
         return float(f[u] + f[targets].max()) * (1 + 1e-9)
-
-    def _keep_hub(self, inner: bool, field: np.ndarray) -> np.ndarray:
-        field.setflags(write=False)
-        self._hub_fields[inner] = field
-        return field
 
     def _reach(self, inner: bool, u: int, targets: list[int],
                predecessors: bool = False):
-        """A sweep from node u, stopped at the hub bound to the target nodes."""
-        out = self._sweep(self._metric(inner)[0], u, predecessors=predecessors,
-                          limit=self._hub_limit(inner, u, targets))
+        """A sweep from node u, stopped at the hub bound to the target nodes.
+
+        From the hub it is the hub field, swept once and then read.
+        """
+        if u == self._hub:
+            field, pred = self._hub_field(inner)
+            out = (field, pred) if predecessors else field
+        else:
+            out = self._sweep(self._metric(inner)[0], u, predecessors=predecessors,
+                              limit=self._hub_limit(inner, u, targets))
         dist = out[0] if predecessors else out
         if not np.isfinite(dist[targets]).all():
             raise InternalInvariantError("target node beyond the hub-field bound")
-        if u == self._hub and self._hub_fields[inner] is None:
-            # a first sweep runs in full, so from the hub it is the hub field
-            self._keep_hub(inner, dist)
         return out
 
     def _coincide(self, px, py) -> bool:
@@ -335,10 +375,29 @@ class GridGraph:
                 out[i, cols] += self._reach(False, u, nodes)[nodes]
         return out
 
+    def basepoint(self, x0) -> Basepoint:
+        """x0 as a Basepoint: attached, with one predecessor sweep from its node.
+
+        A Basepoint built on this graph comes back as it is, so a diagnostic
+        passes any x0 through here; one built on another graph raises
+        ConstraintError. At the hub the sweep is the qh hub field.
+        """
+        if isinstance(x0, Basepoint):
+            if x0.graph is not self:
+                raise ConstraintError("basepoint was built on another graph")
+            return x0
+        pt = as_point(x0)
+        u, stub, _ = self.attach(pt)
+        if u == self._hub:
+            field, pred = self._hub_field(False)
+        else:
+            field, pred = _read_only(*self._sweep(self.csr_qh, u, predecessors=True))
+        return Basepoint(pt, u, stub, field, pred, self)
+
     def dist_field(self, source) -> np.ndarray:
         """Quasihyperbolic distance from a point to every node (stub included)."""
-        u, stub, _ = self.attach(source)
-        return self._sweep(self.csr_qh, u) + stub
+        bp = self.basepoint(source)
+        return bp.field + bp.stub
 
     def node_field(self, node: int) -> np.ndarray:
         return self._sweep(self.csr_qh, int(node))

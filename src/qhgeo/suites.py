@@ -13,7 +13,7 @@ from importlib import resources
 
 import numpy as np
 
-from .analysis import (gromov_product_boundary_probe, loop_probe,
+from .analysis import (loop_probe, visibility_and_gromov_probes,
                        visibility_probe)
 from .conditions import john_center_probe, qhbc_fit
 from .domains import compile_domain
@@ -38,7 +38,7 @@ def _build(params: dict) -> tuple:
 
 def _run_example8(params: dict, seed: int) -> dict:
     domain, g = _build(params)
-    x0 = domain.anchor(params["x0"]).point
+    x0 = g.basepoint(domain.anchor(params["x0"]).point)
     jr = john_center_probe(g, x0,
                            [domain.anchor(t) for t in params["john_targets"]],
                            params["john_scales"])
@@ -60,6 +60,7 @@ def _run_disk_reference(params: dict, seed: int) -> dict:
     domain, g = _build(params)
     del seed  # nothing stochastic in the closed-form checks
     checks = []
+    # (0, 0) sits on the hub, so this is the hub field the compare queries read
     field = g.dist_field((0.0, 0.0))
     for r in params["radii"]:
         u, stub, _ = g.attach((float(r), 0.0))
@@ -86,12 +87,9 @@ def _run_disk_reference(params: dict, seed: int) -> dict:
 def _run_comb(params: dict, seed: int) -> dict:
     domain, g = _build(params)
     del seed
-    x0 = domain.anchor(params["x0"]).point
-    vis = visibility_probe(g, domain.anchor(params["p"]),
-                           domain.anchor(params["q"]), x0, params["scales"])
-    gb = gromov_product_boundary_probe(g, domain.anchor(params["p"]),
-                                       domain.anchor(params["q"]), x0,
-                                       params["scales"])
+    vis, gb = visibility_and_gromov_probes(
+        g, domain.anchor(params["p"]), domain.anchor(params["q"]),
+        domain.anchor(params["x0"]).point, params["scales"])
     return {"suite": "comb", "visibility": vis.verdict, "gromov": gb.verdict,
             "details": {"visibility": vis.to_dict(), "gromov": gb.to_dict()}}
 
@@ -99,7 +97,7 @@ def _run_comb(params: dict, seed: int) -> dict:
 def _run_slit(params: dict, seed: int) -> dict:
     domain, g = _build(params)
     del seed
-    x0 = tuple(params["x0"])
+    x0 = g.basepoint(tuple(params["x0"]))
     arcs = [domain.anchor(a) for a in params["loop_arcs"]]
     lp = loop_probe(g, arcs[0], x0, params["scales"], arcs)
     vis = visibility_probe(g, domain.anchor(params["visibility_p"]),

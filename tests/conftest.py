@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qhgeo import GridParams, build_grid, compile_domain
+from qhgeo import grid as grid_module
 
 
 def sample_interior(domain, n, seed, min_delta=0.0):
@@ -31,6 +32,29 @@ def eq1_lower_bounds(domain, x, y):
     dx, dy = domain.delta_many(pts)
     gap = float(np.hypot(*(pts[1] - pts[0])))
     return float(np.log1p(gap / min(dx, dy))), abs(float(np.log(dy / dx)))
+
+
+class _CountingCsgraph:
+    """Stands in for qhgeo.grid.csgraph and records each sweep's limit."""
+
+    def __init__(self, real):
+        self.real = real
+        self.limits = []
+
+    def dijkstra(self, *args, **kwargs):
+        self.limits.append(kwargs["limit"])
+        return self.real.dijkstra(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The limit of every sweep run while the test runs, in call order."""
+    counting = _CountingCsgraph(grid_module.csgraph)
+    monkeypatch.setattr(grid_module, "csgraph", counting)
+    return counting.limits
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,10 @@
 """End-to-end acceptance gates.
 
-Eleven criteria, one test each, in order; every test asserts its stated
-tolerance and prints a single summary line (visible with -s or -rA, and the
-per-test PASSED/FAILED verdict of ``pytest -v`` serves as the pass/fail
-line). The tolerances here are contract, not tuning knobs.
+Eleven criteria, one test each, in order, with an off-axis companion to
+criterion 1; every test asserts its stated tolerance and prints a single
+summary line (visible with -s or -rA, and the per-test PASSED/FAILED verdict
+of ``pytest -v`` serves as the pass/fail line). The tolerances here are
+contract, not tuning knobs.
 """
 import json
 import time
@@ -37,6 +38,23 @@ def test_criterion_01_disk_closed_forms(disk_domain):
     assert dt < 60.0
     print(f"[PASS] criterion 1: disk closed forms within 2% "
           f"(worst {worst:.2%}, {dt:.1f}s)")
+
+
+def test_criterion_01_off_axis_closed_forms(disk256):
+    # between the grid axes and the diagonals the 8-neighbour stencil's
+    # metrication error dominates; at h=1/256 it peaks at 9.7% (22.5 degrees,
+    # r=0.5), against about 1% on the axes
+    worst = 0.0
+    for theta in (11.25, 22.5, 30.0):
+        t = np.radians(theta)
+        for r in (0.5, 0.7, 0.9):
+            k = disk256.qh_distance((0, 0), (r * np.cos(t), r * np.sin(t)))
+            want = np.log(1.0 / (1.0 - r))
+            rel = abs(k / want - 1.0)
+            assert rel < 0.10, f"theta={theta}, r={r}: {k} vs {want} ({rel:.2%})"
+            worst = max(worst, rel)
+    print(f"[PASS] criterion 1, off axis: disk closed forms within 10% "
+          f"(worst {worst:.2%})")
 
 
 def test_criterion_02_lower_bound_invariant(disk_domain, square_domain,

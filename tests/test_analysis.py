@@ -1,10 +1,15 @@
 """Boundary probes and hyperbolicity estimates."""
+import json
+
 import numpy as np
 import pytest
 
-from qhgeo import (estimate_delta_four_point, estimate_delta_thin_triangles,
-                   gromov_product, gromov_product_boundary_probe, loop_probe,
-                   visibility_probe)
+from qhgeo import (GrowthFunction, estimate_delta_four_point,
+                   estimate_delta_thin_triangles, gromov_product,
+                   gromov_product_boundary_probe, growth_check,
+                   john_center_probe, loop_probe, qhbc_fit,
+                   visibility_and_gromov_probes, visibility_probe)
+from qhgeo.errors import ConstraintError
 
 SCALES = [2.0 ** -k for k in range(2, 7)]
 
@@ -138,6 +143,44 @@ def test_ladder_sweep_limit_is_exact(grid, domain, probes, request, monkeypatch)
         assert (full_dist[~reached] > limit).all()
         cut += int((~reached).sum())
     assert cut > 0
+
+
+def _x0_reports(g, dom, x0):
+    """Every diagnostic that takes x0, as JSON text."""
+    east, west = dom.anchors["rim_east"], dom.anchors["rim_west"]
+    arcs = [(-np.cos(np.pi / 6), np.sin(np.pi / 6)),
+            (-np.cos(np.pi / 6), -np.sin(np.pi / 6))]
+    phi = GrowthFunction("log_affine", {"A": 1.0, "B": 1.0})
+    reps = [john_center_probe(g, x0, [(1.0, 0.0)], [0.02, 0.01, 0.005]),
+            qhbc_fit(g, x0, 500, seed=11),
+            growth_check(g, x0, phi, 500, seed=3),
+            visibility_probe(g, east, west, x0, SCALES),
+            gromov_product_boundary_probe(g, east, west, x0, SCALES),
+            loop_probe(g, east, x0, SCALES, arcs),
+            *visibility_and_gromov_probes(g, east, west, x0, SCALES)]
+    return [json.dumps(r.to_dict()) for r in reps]
+
+
+@pytest.mark.parametrize("x0", [(0.0, 0.0), (0.3, -0.2)])
+def test_basepoint_or_point_same_reports(disk128, disk_domain, x0):
+    # (0, 0) sits on the hub, (0.3, -0.2) does not
+    want = _x0_reports(disk128, disk_domain, x0)
+    assert _x0_reports(disk128, disk_domain, disk128.basepoint(x0)) == want
+    # the joint probe gives what the two separate probes give
+    assert want[6:] == want[3:5]
+
+
+def test_basepoint_of_another_graph_rejected(disk64, disk128, disk_domain):
+    bp = disk128.basepoint((0.3, -0.2))
+    with pytest.raises(ConstraintError):
+        disk64.basepoint(bp)
+    with pytest.raises(ConstraintError):
+        qhbc_fit(disk64, bp, 500, seed=11)
+    with pytest.raises(ConstraintError):
+        john_center_probe(disk64, bp, [(1.0, 0.0)], [0.02, 0.01])
+    with pytest.raises(ConstraintError):
+        visibility_probe(disk64, disk_domain.anchors["rim_east"],
+                         disk_domain.anchors["rim_west"], bp, SCALES)
 
 
 def test_four_point_estimate_determinism(disk64):

@@ -67,6 +67,18 @@ def test_dist_deterministic(disk_json, capsys):
     assert a == b
 
 
+def test_negative_x_point(disk_json, capsys):
+    # argparse would read "-0.4,0.3" as an option without the point check
+    code, out, err = run_cli(["dist", "--domain", disk_json, "0.1,0.2", "-0.4,0.3"],
+                             capsys)
+    assert code == 0, err
+    assert np.isfinite(json.loads(out)["k"])
+    code, out, err = run_cli(["geodesic", "--domain", disk_json, "--format", "json",
+                              "-0.1,-0.2", "-0.4,0.3"], capsys)
+    assert code == 0, err
+    assert np.isfinite(json.loads(out)["k"])
+
+
 def test_dist_out_file(disk_json, tmp_path, capsys):
     dest = tmp_path / "out.json"
     code, out, _ = run_cli(["dist", "--domain", disk_json, "--out", str(dest),

@@ -5,10 +5,10 @@ import pytest
 from conftest import sample_interior
 from qhgeo import (GridGraph, GridParams, build_grid, compile_domain,
                    gromov_product, nearest_node)
-from qhgeo import grid as grid_module
 from qhgeo.curves import ArcPiece, SegPiece, pieces_distance
 from qhgeo.errors import (DomainError, InternalInvariantError, ResolutionError,
                           UnreachableError)
+from qhgeo.geometry import as_point
 from qhgeo.suites import load_suite_params
 
 
@@ -295,28 +295,6 @@ def _fresh(g):
                      g.csr_qh, g.csr_euc, g.labels, g.warnings)
 
 
-class _CountingCsgraph:
-    """Stands in for qhgeo.grid.csgraph and records each sweep's limit."""
-
-    def __init__(self, real):
-        self.real = real
-        self.limits = []
-
-    def dijkstra(self, *args, **kwargs):
-        self.limits.append(kwargs["limit"])
-        return self.real.dijkstra(*args, **kwargs)
-
-    def __getattr__(self, name):
-        return getattr(self.real, name)
-
-
-@pytest.fixture
-def sweeps(monkeypatch):
-    counting = _CountingCsgraph(grid_module.csgraph)
-    monkeypatch.setattr(grid_module, "csgraph", counting)
-    return counting.limits
-
-
 def _mirror_pairs(domain, n, seed):
     """Sampled points paired with their mirror images in the box's midlines."""
     lo, hi = np.asarray(domain.bbox_lo), np.asarray(domain.bbox_hi)
@@ -396,7 +374,7 @@ def test_hub_field_sweep_counts(disk64, sweeps):
     assert sweeps[1] == np.inf and np.isfinite(sweeps[2]) and len(sweeps) == 3
     g.qh_distances([(0.3, -0.3)], [(0.0, 0.7), (-0.7, 0.0)])
     assert len(sweeps) == 4 and np.isfinite(sweeps[3])
-    hub = g._hub_fields[False]
+    hub = g._hub_fields[False][0]
     assert not hub.flags.writeable and hub[np.argmax(g.deltas)] == 0.0
     # the Euclidean metric has its own field, built at its own second sweep
     g.inner_distance((0.1, 0.2), (-0.4, 0.3))
@@ -408,11 +386,12 @@ def test_first_sweep_from_hub_is_kept(disk64, sweeps):
     g = _fresh(disk64)
     centre = tuple(g.centers[np.argmax(g.deltas)])
     k = g.qh_distance(centre, (0.5, 0.1))
-    assert sweeps == [np.inf] and not g._hub_fields[False].flags.writeable
-    assert g._hub_fields[False].tobytes() == g.node_field(np.argmax(g.deltas)).tobytes()
+    assert sweeps == [np.inf] and not g._hub_fields[False][0].flags.writeable
+    assert g._hub_fields[False][0].tobytes() == g.node_field(np.argmax(g.deltas)).tobytes()
     del sweeps[:]
+    # a later query from the hub reads the field
     assert g.qh_distance((0.5, 0.1), centre) == k
-    assert len(sweeps) == 1 and np.isfinite(sweeps[0])
+    assert sweeps == []
 
 
 def test_hub_in_other_component(sweeps):
@@ -439,10 +418,56 @@ def test_hub_bound_too_small_raises(disk64, monkeypatch):
     g = _fresh(disk64)
     short = np.zeros(g.node_count)
     short.setflags(write=False)
-    monkeypatch.setitem(g._hub_fields, False, short)
+    pred = np.full(g.node_count, -9999, dtype=np.int32)
+    monkeypatch.setitem(g._hub_fields, False, (short, pred))
     with pytest.raises(InternalInvariantError):
         g.qh_distance((0.1, 0.2), (-0.4, 0.3))
     with pytest.raises(InternalInvariantError):
         g.qh_geodesic((0.1, 0.2), (-0.4, 0.3))
     with pytest.raises(InternalInvariantError):
         g.qh_distances([(0.1, 0.2)], [(-0.4, 0.3)])
+
+
+# -- basepoints ---------------------------------------------------------------
+
+@pytest.mark.parametrize("grid,domain", [("disk128", "disk_domain"),
+                                         ("slit_grid", "slit_domain"),
+                                         ("comb_grid", "comb_domain")])
+def test_basepoint_is_one_plain_sweep(grid, domain, request):
+    # a predecessor sweep gives the plain sweep's field bit for bit, so a
+    # Basepoint carries the floats node_field and dist_field give
+    g = request.getfixturevalue(grid)
+    for u in (0, g.node_count // 2, g.node_count - 1):
+        assert g.node_field_with_pred(u)[0].tobytes() == g.node_field(u).tobytes()
+    x0 = sample_interior(request.getfixturevalue(domain), 1, seed=4, min_delta=0.05)[0]
+    bp = g.basepoint(x0)
+    node, stub, _ = g.attach(x0)
+    assert bp.point == as_point(x0) and (bp.node, bp.stub) == (node, stub)
+    dist, pred = g.node_field_with_pred(node)
+    assert bp.field.tobytes() == g.node_field(node).tobytes() == dist.tobytes()
+    assert bp.pred.tobytes() == pred.tobytes()
+    for a in (bp.field, bp.pred):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    assert g.basepoint(bp) is bp
+    assert g.dist_field(x0).tobytes() == (dist + stub).tobytes()
+
+
+def test_basepoint_at_hub_is_hub_field(disk64, sweeps):
+    # the basepoint at the hub, the qh hub field, dist_field and the point
+    # queries from the hub share one predecessor sweep
+    g = _fresh(disk64)
+    centre = tuple(g.centers[np.argmax(g.deltas)])
+    bp = g.basepoint(centre)
+    assert bp.node == np.argmax(g.deltas) and sweeps == [np.inf]
+    assert g._hub_fields[False][0] is bp.field and g._hub_fields[False][1] is bp.pred
+    assert g.dist_field(centre).tobytes() == (bp.field + bp.stub).tobytes()
+    k = g.qh_distance(centre, (0.5, 0.1))
+    path = g.qh_geodesic(centre, (0.5, 0.1))
+    assert len(sweeps) == 1
+    # the first point query elsewhere is already bounded by the field
+    g.qh_distance((0.1, 0.2), (-0.4, 0.3))
+    assert len(sweeps) == 2 and np.isfinite(sweeps[1])
+    assert k == _full_k(g, centre, (0.5, 0.1))
+    assert abs(path.qh_length_cached - k) < 1e-9
