@@ -8,9 +8,8 @@ restrict candidates to a 25-degree cone around the arc direction.
 """
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -347,18 +346,6 @@ def _visibility_verdict(m: list[float], clear: list[float]) -> str:
     return "inconclusive"
 
 
-def _pair_ladder(g: GridGraph, p, q, x0, scales):
-    """(p, q, scales, basepoint, rows) of a ladder between two boundary anchors."""
-    p, q = _as_anchor(p), _as_anchor(q)
-    if p.point.x == q.point.x and p.point.y == q.point.y:
-        raise ConstraintError("p and q coincide; use loop_probe for one point")
-    scales = _check_scales(scales)
-    _check_boundary(g, p.point, "anchor p")
-    _check_boundary(g, q.point, "anchor q")
-    bp = g.basepoint(x0)
-    return p, q, scales, bp, _probe_ladder(g, p, q, bp, scales)
-
-
 def visibility_probe(g: GridGraph, p, q, x0, scales) -> ProbeReport:
     """Probe whether geodesics between p- and q-approaching points stay deep.
 
@@ -368,10 +355,7 @@ def visibility_probe(g: GridGraph, p, q, x0, scales) -> ProbeReport:
     final clearance drops below a tenth of the first; else inconclusive.
     x0 is a point or a Basepoint (see GridGraph.basepoint).
     """
-    p, q, scales, bp, rows = _pair_ladder(g, p, q, x0, scales)
-    m = [r[3] for r in rows]
-    return _report(g, "visibility", p, q, bp, scales, rows,
-                   _visibility_verdict(m, [r[4] for r in rows]), m)
+    return visibility_and_gromov_probes(g, p, q, x0, scales)[0]
 
 
 def gromov_product_boundary_probe(g: GridGraph, p, q, o, scales) -> ProbeReport:
@@ -380,7 +364,14 @@ def gromov_product_boundary_probe(g: GridGraph, p, q, o, scales) -> ProbeReport:
     Verdict bounded iff the last three product increments are all < 0.1.
     o is a point or a Basepoint.
     """
-    p, q, scales, bp, rows = _pair_ladder(g, p, q, o, scales)
+    p, q = _as_anchor(p), _as_anchor(q)
+    if p.point.x == q.point.x and p.point.y == q.point.y:
+        raise ConstraintError("p and q coincide; use loop_probe for one point")
+    scales = _check_scales(scales)
+    _check_boundary(g, p.point, "anchor p")
+    _check_boundary(g, q.point, "anchor q")
+    bp = g.basepoint(o)
+    rows = _probe_ladder(g, p, q, bp, scales)
     prods = [r[5] for r in rows]
     incs = [b - a for a, b in zip(prods, prods[1:])]
     bounded = len(incs) >= 3 and max(incs[-3:]) < 0.1
@@ -393,12 +384,13 @@ def visibility_and_gromov_probes(g: GridGraph, p, q, x0, scales
     """visibility_probe and gromov_product_boundary_probe of the same arguments.
 
     Both read one endpoint ladder, so it is walked once: the visibility
-    report is the Gromov report judged by the visibility rule.
+    report is the Gromov report's ladder judged by the visibility rule, with
+    the slope fitted to m. The two reports share their ladder lists.
     """
     gb = gromov_product_boundary_probe(g, p, q, x0, scales)
-    vis = copy.deepcopy(gb)
-    vis.kind, vis.verdict = "visibility", _visibility_verdict(vis.m, vis.clearance)
-    vis.divergence_slope = _divergence_slope(vis.scales, vis.m)
+    vis = replace(
+        gb, kind="visibility", verdict=_visibility_verdict(gb.m, gb.clearance),
+        divergence_slope=_divergence_slope(gb.scales, gb.m))
     return vis, gb
 
 

@@ -1,5 +1,4 @@
 """Shipped suite registry and parameter file."""
-import numpy as np
 import pytest
 
 from qhgeo import SUITE_NAMES, load_suite_params, run_suite
@@ -20,16 +19,3 @@ def test_suite_params_shape():
 def test_unknown_suite_rejected():
     with pytest.raises(ConstraintError):
         run_suite("nosuite")
-
-
-# one full sweep per suite (its basepoint, or the hub field on the disk),
-# plus one bounded sweep per ladder scale: 5 in example8 and comb, whose
-# two probes share one ladder, and 5 for each of slit's two probes
-SWEEPS = {"example8": 6, "disk_reference": 1, "comb": 6, "slit": 11}
-
-
-@pytest.mark.parametrize("name", SUITE_NAMES)
-def test_suite_sweep_counts(name, sweeps):
-    run_suite(name)
-    assert len(sweeps) == SWEEPS[name]
-    assert sum(not np.isfinite(limit) for limit in sweeps) == 1
