@@ -261,13 +261,6 @@ class Finger:
     toe_cy: float   # toe center ordinate
 
 
-def _dip(x: float) -> float:
-    """How far the foot disk reaches below the x-axis at abscissa x."""
-    if abs(x) >= CHORD_HALF:
-        return 0.0
-    return math.sqrt(FOOT_RADIUS ** 2 - x * x) - FOOT_CENTER[1]
-
-
 def _snap_up_odd(c_req: float) -> float:
     n = math.ceil(_SNAP * (1.0 + c_req))
     if n % 2 == 0:

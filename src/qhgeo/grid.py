@@ -2,12 +2,25 @@
 
 The domain is covered by a level-0 lattice of cell size h anchored at the
 bounding-box corner. Cells within 8 cell-widths of the boundary split into
-four until boundary_layer extra levels are reached. A leaf cell becomes a
-node when its center lies inside with delta > cell/2. Neighboring leaves
-(same level 4/8-neighborhood, or one level apart) are joined when the
-connecting segment stays inside; each edge carries the trapezoid weight
-|u-v| * (1/delta(u) + 1/delta(v)) / 2 and, in parallel, its Euclidean
-length for the inner metric.
+four until boundary_layer extra levels are reached, except exterior ones:
+a cell with delta > 0.75 s (its half-diagonal is s/sqrt 2) lies wholly on
+one side of the boundary, so when its center is outside none of its
+descendants can be a node and it does not split; when its center is
+inside, its children are inside without a membership test. Membership is
+asked only where delta > s/2, the only cells whose answer is read. A leaf
+cell becomes a node when its center lies inside with delta > cell/2.
+Neighboring leaves (same level 4/8-neighborhood, or one level apart) are
+joined when the connecting segment stays inside; each edge carries the
+trapezoid weight |u-v| * (1/delta(u) + 1/delta(v)) / 2 and, in parallel,
+its Euclidean length for the inner metric.
+
+Neighbours are looked up in sorted per-level keys (ix+1)*(ny+2) + (iy+1),
+each list ended by an int64-max sentinel. A cell one step off the lattice
+then has a key no node has, and every search position lies inside the
+list, so no query needs a bounds mask. The candidates in one neighbouring
+column are consecutive keys: one search finds the first, and each next
+position is the previous one plus one where the previous key was present.
+The edges come out in the order of one search per neighbour offset.
 
 Below level 0 delta is screened, not evaluated against every boundary
 piece. delta is 1-Lipschitz, so a child cell's delta is at most its
@@ -27,10 +40,12 @@ row by column.
 Every shortest-path sweep goes through GridGraph._sweep. Each edge is
 written in both directions from the same weight arrays, so both matrices
 are symmetric bit for bit and the sweep runs directed: it sees the same
-graph and skips the transpose scipy builds for an undirected call. A sweep
-may stop at a distance limit; the nodes it reaches are exact, because
-Dijkstra settles nodes in order of distance and every prefix of a shortest
-path is itself within the limit.
+graph and skips the transpose scipy builds for an undirected call. For the
+same reason the components are the matrix's strong components, which
+scipy finds without that transpose and labels as the undirected call does.
+A sweep may stop at a distance limit; the nodes it reaches are exact,
+because Dijkstra settles nodes in order of distance and every prefix of a
+shortest path is itself within the limit.
 
 Point-to-point sweeps (the distances, the geodesics and qh_distances) stop
 at a limit taken from a hub field: one full sweep, per metric, from the
@@ -119,11 +134,16 @@ class GridGraph:
     is a lazy cache of at most two hub fields, one per metric, each with its
     predecessors, that bound the point-to-point sweeps (see the module
     docstring).
+
+    stats holds the build's deterministic counts: cells_evaluated and
+    cells_pruned (exterior cells left unsplit) per level, nodes per level,
+    edges, and the candidate edges that ran a crossing test (crossing_tests)
+    or were certified inside without one (crossing_skipped).
     """
 
     def __init__(self, domain: Domain, params: GridParams, centers: np.ndarray,
                  deltas: np.ndarray, levels: np.ndarray, csr_qh, csr_euc,
-                 labels: np.ndarray, warnings: list[str]):
+                 labels: np.ndarray, warnings: list[str], stats: dict):
         self.domain = domain
         self.params = params
         self.centers = centers
@@ -133,7 +153,11 @@ class GridGraph:
         self.csr_euc = csr_euc
         self.labels = labels
         self.warnings = warnings
-        self._tree = cKDTree(centers)
+        self.stats = stats
+        # an unbalanced tree on uncompacted nodes builds in about half the
+        # time; queries return the same distances, and nearest_node and
+        # attach order equal ones by index
+        self._tree = cKDTree(centers, balanced_tree=False, compact_nodes=False)
         self._hub = int(np.argmax(deltas))
         # inner -> read-only (hub field, predecessors); None from the metric's
         # first, unbounded point-to-point sweep until the field is built
@@ -433,10 +457,6 @@ class GridGraph:
         return out
 
 
-def _level_keys(ix: np.ndarray, iy: np.ndarray, ny: int) -> np.ndarray:
-    return ix.astype(np.int64) * np.int64(ny) + iy.astype(np.int64)
-
-
 def _child_tiles(tx: np.ndarray, ty: np.ndarray, parent_delta: np.ndarray,
                  lo: np.ndarray, h: float, reach: float) -> Tiles:
     """Screen for the four children of each split cell, tiled by level-0 cell.
@@ -459,49 +479,51 @@ def build_grid(domain: Domain, gp: GridParams) -> GridGraph:
     levels_max = int(gp.boundary_layer)
     n0x = max(1, int(math.ceil((hi[0] - lo[0]) / h - 1e-12)))
     n0y = max(1, int(math.ceil((hi[1] - lo[1]) / h - 1e-12)))
+    # padded keys (ix+1)*(ny+2) + (iy+1): a cell one step off the lattice
+    # has a key no node has, so neighbour queries need no bounds mask
+    strides = [(n0y << lev) + 2 for lev in range(levels_max + 1)]
 
-    # refine: split any cell whose center is within 8 cell-widths of a curve
+    # refine: split a cell whose center is within 8 cell-widths of a curve,
+    # unless it lies wholly outside. A cell with delta > 0.75 s (its
+    # half-diagonal is s/sqrt 2) is clear: wholly inside or wholly outside.
     gx, gy = np.meshgrid(np.arange(n0x), np.arange(n0y), indexing="ij")
     cur_ix, cur_iy = gx.ravel(), gy.ravel()
-    lev_ix: list[np.ndarray] = []
-    lev_iy: list[np.ndarray] = []
+    known = np.zeros(len(cur_ix), dtype=bool)  # inside, inherited from a clear parent
+    lev_keys: list[np.ndarray] = []
     lev_cent: list[np.ndarray] = []
     lev_delta: list[np.ndarray] = []
+    stats: dict = {"cells_evaluated": [], "cells_pruned": []}
     tiles = None  # level 0 is evaluated in full
     slack = 1e-9 * domain.scale
     for lev in range(levels_max + 1):
         s = h / (1 << lev)
         cent = lo + (np.column_stack([cur_ix, cur_iy]) + 0.5) * s
         dist = domain.delta_many(cent, tiles)
-        if lev < levels_max:
-            split = dist < 8.0 * s
-        else:
-            split = np.zeros(len(cur_ix), dtype=bool)
-        keep = ~split
-        kcent = cent[keep]
-        inside = domain.contains_many(kcent)
-        ok = inside & (dist[keep] > 0.5 * s)
-        order = np.lexsort((cur_iy[keep][ok], cur_ix[keep][ok]))
-        lev_ix.append(cur_ix[keep][ok][order])
-        lev_iy.append(cur_iy[keep][ok][order])
-        lev_cent.append(kcent[ok][order])
-        lev_delta.append(dist[keep][ok][order])
-        if lev < levels_max:
-            six, siy = cur_ix[split], cur_iy[split]
-            cur_ix = ((2 * six)[:, None] + np.array([0, 1, 0, 1])).ravel()
-            cur_iy = ((2 * siy)[:, None] + np.array([0, 0, 1, 1])).ravel()
-            if len(cur_ix) == 0 and lev + 1 <= levels_max:
-                # nothing left to refine; remaining levels are empty
-                for _ in range(lev + 1, levels_max + 1):
-                    lev_ix.append(np.zeros(0, dtype=np.int64))
-                    lev_iy.append(np.zeros(0, dtype=np.int64))
-                    lev_cent.append(np.zeros((0, 2)))
-                    lev_delta.append(np.zeros(0))
-                break
-            tiles = _child_tiles(six >> lev, siy >> lev, dist[split], lo, h,
-                                 0.25 * math.sqrt(2.0) * s + slack)
+        # membership is read only where delta > s/2: a nearer cell is never
+        # a node, and it splits whether it is inside or not
+        inside = dist > 0.5 * s
+        probe = inside & ~known
+        inside[probe] = domain.contains_many(cent[probe])
+        clear = dist > 0.75 * s
+        near = (dist < 8.0 * s) & (lev < levels_max)
+        split = near & (inside | ~clear)
+        stats["cells_evaluated"].append(len(cur_ix))
+        stats["cells_pruned"].append(int(np.count_nonzero(near & ~split)))
+        node = inside & ~split
+        key = (cur_ix[node] + 1) * strides[lev] + cur_iy[node] + 1
+        order = np.argsort(key)  # keys are unique: the (ix, iy) order
+        lev_keys.append(key[order])
+        lev_cent.append(cent[node][order])
+        lev_delta.append(dist[node][order])
+        six, siy = cur_ix[split], cur_iy[split]
+        cur_ix = ((2 * six)[:, None] + np.array([0, 1, 0, 1])).ravel()
+        cur_iy = ((2 * siy)[:, None] + np.array([0, 0, 1, 1])).ravel()
+        known = np.repeat(clear[split], 4)
+        # once nothing splits, the levels below are empty and need no screen
+        tiles = (_child_tiles(six >> lev, siy >> lev, dist[split], lo, h,
+                              0.25 * math.sqrt(2.0) * s + slack) if len(six) else None)
 
-    counts = [len(a) for a in lev_ix]
+    counts = [len(k) for k in lev_keys]
     total = int(sum(counts))
     if total == 0:
         raise ResolutionError("grid admits no nodes; decrease h or refine less")
@@ -510,46 +532,51 @@ def build_grid(domain: Domain, gp: GridParams) -> GridGraph:
     deltas = np.concatenate(lev_delta)
     levels = np.concatenate([np.full(counts[i], i, dtype=np.int8)
                              for i in range(len(counts))])
+    # the int64-max sentinel keeps every search position inside the list
+    keys = [np.append(k, np.iinfo(np.int64).max) for k in lev_keys]
 
-    keys = [_level_keys(lev_ix[i], lev_iy[i], n0y * (1 << i)) for i in range(len(counts))]
+    def column(level: int, src: np.ndarray, q0: np.ndarray, n: int):
+        """Edges src -> the level's node with key q0 + j, for each j < n.
 
-    edges_u: list[np.ndarray] = []
-    edges_v: list[np.ndarray] = []
+        One search finds q0's position. Keys are sorted and unique, so
+        q0 + j + 1 sits at q0 + j's position, plus one when q0 + j is there.
+        """
+        k = keys[level]
+        pos = np.searchsorted(k, q0)
+        out = []
+        for j in range(n):
+            hit = k[pos] == q0 + j
+            out.append((src[hit], offsets[level] + pos[hit]))
+            pos += hit
+        return out
 
-    def lookup(level: int, qx: np.ndarray, qy: np.ndarray, src_global: np.ndarray):
-        """Append edges src -> (qx,qy)@level for candidates that exist."""
-        nx = n0x * (1 << level)
-        ny = n0y * (1 << level)
-        valid = (qx >= 0) & (qx < nx) & (qy >= 0) & (qy < ny)
-        if not valid.any():
-            return
-        qk = _level_keys(qx[valid], qy[valid], ny)
-        pos = np.searchsorted(keys[level], qk)
-        inb = pos < len(keys[level])
-        hit = np.zeros(len(qk), dtype=bool)
-        hit[inb] = keys[level][pos[inb]] == qk[inb]
-        if not hit.any():
-            return
-        edges_u.append(src_global[valid][hit])
-        edges_v.append(offsets[level] + pos[hit])
-
+    edges: list[tuple[np.ndarray, np.ndarray]] = []
     for lev in range(len(counts)):
         if counts[lev] == 0:
             continue
-        ix, iy = lev_ix[lev], lev_iy[lev]
         src = offsets[lev] + np.arange(counts[lev], dtype=np.int64)
+        k, stride = lev_keys[lev], strides[lev]
+        # same level: (1, dy) is one column; (0, 1) is the next key or absent
+        found = dict(zip([(1, -1), (1, 0), (1, 1)], column(lev, src, k + (stride - 1), 3)))
+        up = keys[lev][1:] == k + 1
+        found[(0, 1)] = (src[up], src[up] + 1)
         same = [(1, 0), (0, 1)] + ([(1, 1), (1, -1)] if gp.diag else [])
-        for dx, dy in same:
-            lookup(lev, ix + dx, iy + dy, src)
+        edges += [found[d] for d in same]
         if lev + 1 < len(counts) and counts[lev + 1] > 0:
+            fine = strides[lev + 1]
+            qx, qy = np.divmod(k, stride)
+            base = (2 * qx - 1) * fine + 2 * qy - 1  # key of fine cell (2ix, 2iy)
+            # fine column 2ix + ax, rows 2iy - 1 .. 2iy + 2
+            found = {(ax, ay): e for ax in (-1, 0, 1, 2)
+                     for ay, e in zip((-1, 0, 1, 2),
+                                      column(lev + 1, src, base + (ax * fine - 1), 4))}
             side = [(2, 0), (2, 1), (-1, 0), (-1, 1),   # left/right fine neighbors
                     (0, 2), (1, 2), (0, -1), (1, -1)]   # top/bottom fine neighbors
             corner = [(2, 2), (2, -1), (-1, 2), (-1, -1)] if gp.diag else []
-            for ax, ay in side + corner:
-                lookup(lev + 1, 2 * ix + ax, 2 * iy + ay, src)
+            edges += [found[d] for d in side + corner]
 
-    eu = np.concatenate(edges_u or [np.zeros(0, dtype=np.int64)])
-    ev = np.concatenate(edges_v or [np.zeros(0, dtype=np.int64)])
+    eu = np.concatenate([u for u, _ in edges] or [np.zeros(0, dtype=np.int64)])
+    ev = np.concatenate([v for _, v in edges] or [np.zeros(0, dtype=np.int64)])
     seg = centers[ev] - centers[eu]
     elen = np.hypot(seg[:, 0], seg[:, 1])
     # certified-inside edges skip the crossing test: the segment lies in
@@ -559,6 +586,9 @@ def build_grid(domain: Domain, gp: GridParams) -> GridGraph:
     if need.any():
         ok[need] = ~domain.crossings(centers[eu[need]], centers[ev[need]])
     eu, ev, elen = eu[ok], ev[ok], elen[ok]
+    n_need = int(np.count_nonzero(need))
+    stats.update(nodes=counts, edges=len(eu), crossing_tests=n_need,
+                 crossing_skipped=len(need) - n_need)
     wq = elen * 0.5 * (1.0 / deltas[eu] + 1.0 / deltas[ev])
     # one COO->CSR conversion of edge ids gives the layout both weights share
     ids = np.arange(len(eu), dtype=np.int32)
@@ -568,7 +598,9 @@ def build_grid(domain: Domain, gp: GridParams) -> GridGraph:
     csr_qh, csr_euc = (sparse.csr_matrix((w[layout.data], layout.indices, layout.indptr),
                                          shape=(total, total)) for w in (wq, elen))
 
-    _, labels = csgraph.connected_components(csr_qh, directed=False)
+    # the matrix is symmetric, so its strong components are its components,
+    # found without the transpose an undirected call builds
+    _, labels = csgraph.connected_components(csr_qh, directed=True, connection="strong")
 
     warnings: list[str] = []
     finest = h / (1 << levels_max)
@@ -580,7 +612,7 @@ def build_grid(domain: Domain, gp: GridParams) -> GridGraph:
                     f"finest cells ({finest:.3e}); distances through it may be coarse")
 
     graph = GridGraph(domain, gp, centers, deltas, levels, csr_qh, csr_euc,
-                      labels, warnings)
+                      labels, warnings, stats)
 
     # anchors falling in distinct components signal an under-resolved build
     anchor_comps = set()

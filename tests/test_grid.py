@@ -1,6 +1,9 @@
 """Grid construction, attachment, shortest-path plumbing."""
+import hashlib
+
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 from conftest import sample_interior
 from qhgeo import (GridGraph, GridParams, build_grid, compile_domain,
@@ -164,16 +167,28 @@ def test_weights_share_one_structure(grid, request):
 
 
 _SUITES = load_suite_params()
+_TWO_DISKS = ({"type": "union",
+               "parts": [{"type": "disk", "center": [-0.4, 0], "radius": 0.7},
+                         {"type": "disk", "center": [0.4, 0], "radius": 0.7}]}, 1 / 32, 3)
+_L_POLYGON = ({"type": "polygon",
+               "vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]}, 1 / 16, 4)
+
+
+def _spec_grid(spec, h, layers):
+    return build_grid(compile_domain(spec), GridParams(h=h, boundary_layer=layers))
+
+
+@pytest.fixture(scope="module")
+def example8_grid():
+    params = _SUITES["example8"]
+    return _spec_grid(params["domain"], params["h"], params["layers"])
 
 
 @pytest.mark.parametrize("spec,h,layers", [
     *[(_SUITES[n]["domain"], _SUITES[n]["h"], _SUITES[n]["layers"])
       for n in ("example8", "disk_reference", "comb", "slit")],
-    ({"type": "union", "parts": [{"type": "disk", "center": [-0.4, 0], "radius": 0.7},
-                                 {"type": "disk", "center": [0.4, 0], "radius": 0.7}]},
-     1 / 32, 3),
-    ({"type": "polygon", "vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]},
-     1 / 16, 4),
+    _TWO_DISKS,
+    _L_POLYGON,
 ], ids=["example8", "disk_reference", "comb", "slit", "two_disks", "polygon"])
 def test_screened_delta_is_exact(spec, h, layers, monkeypatch):
     # every delta build_grid evaluates, split cells included, equals the
@@ -272,6 +287,83 @@ def test_unreachable_components():
     assert g.qh_distance((0, 0.5), (0.1, 0.6)) > 0.0
 
 
+# -- the built graph, bit for bit ---------------------------------------------
+
+def _graph_digest(g):
+    """SHA-256 over every array the build produces, with dtypes and shapes."""
+    arrays = [g.centers, g.deltas, g.levels, g.labels]
+    for m in (g.csr_qh, g.csr_euc):
+        arrays += [m.data, m.indices, m.indptr]
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(repr(g.warnings).encode())
+    return h.hexdigest()
+
+
+# digests frozen from the build that still split exterior cells: pruning
+# them must leave every graph the same bit for bit
+_GRAPH_DIGESTS = {
+    "slit": "a3231f5ab456cfc1c7ebf237db66d2a1b0acc5c31fcff1b86da5097b193b148a",
+    "comb": "541b46655e5c6536c9f01a3343ae07bda2f6dd75da16ee36bb938fdafa580d92",
+    "disk128": "b5be1a3c039ca2daa346bebd44f38ab0058f68e7e840e20c04490ddf9c78a3f2",
+    "split_disk": "eb67d115d236a3fdf23750bd4071511c3af880f29466556e4e90bc5344a6d31a",
+    "polygon": "90ff47c086b0c5540ad1c44be6e219140bd032bdc18a83bc252240a6f59a5aa1",
+    "two_disks": "afcf5cda5059b39709b731c3a1b662050587c20107d6f590c419585f993f38ee",
+    "example8": "3d79037341b05cb71942aa781531e558b7b61ddba78236cbf1edabd8339ca7fb",
+}
+
+
+@pytest.mark.parametrize("name", list(_GRAPH_DIGESTS))
+def test_graph_digest_unchanged(name, request):
+    g = {"slit": lambda: request.getfixturevalue("slit_grid"),
+         "comb": lambda: request.getfixturevalue("comb_grid"),
+         "disk128": lambda: request.getfixturevalue("disk128"),
+         "split_disk": _split_disk,
+         "polygon": lambda: _spec_grid(*_L_POLYGON),
+         "two_disks": lambda: _spec_grid(*_TWO_DISKS),
+         "example8": lambda: request.getfixturevalue("example8_grid")}[name]()
+    assert _graph_digest(g) == _GRAPH_DIGESTS[name]
+
+
+def test_components_match_undirected_labels():
+    # the build reads strong components of the symmetric matrix; they are
+    # its undirected components, numbered the same way
+    g = _split_disk()
+    _, want = csgraph.connected_components(g.csr_qh, directed=False)
+    assert g.labels.dtype == want.dtype
+    assert np.array_equal(g.labels, want)
+
+
+# cells example8 evaluated per level when exterior cells still split
+_EXAMPLE8_CELLS_UNPRUNED = [4352, 9772, 23656, 52616, 113680, 239780, 494276, 1006884]
+
+
+def test_build_stats(example8_grid, slit_grid):
+    g = example8_grid
+    assert g.stats == {
+        "cells_evaluated": [4352, 6536, 14560, 31216, 65520, 134988, 274948, 557476],
+        "cells_pruned": [809, 282, 724, 1377, 2900, 5898, 12030, 0],
+        "nodes": [1810, 2614, 6032, 13459, 28873, 60353, 123549, 492925],
+        "edges": 2849556,
+        "crossing_tests": 90477,
+        "crossing_skipped": 2759079,
+    }
+    # pruning drops about 44% of the cells (1,945,016 -> 1,089,596)
+    assert sum(g.stats["cells_evaluated"]) < 0.6 * sum(_EXAMPLE8_CELLS_UNPRUNED)
+    for got, was in zip(g.stats["cells_evaluated"], _EXAMPLE8_CELLS_UNPRUNED):
+        assert got <= was
+    for s in (g, slit_grid):
+        st = s.stats
+        assert st["nodes"] == np.bincount(s.levels).tolist()
+        assert st["edges"] == s.edge_count
+        assert st["crossing_tests"] + st["crossing_skipped"] >= st["edges"]
+        assert st["cells_pruned"][-1] == 0  # the finest level never splits
+        assert all(type(v) is int for v in st["nodes"] + st["cells_evaluated"]
+                   + st["cells_pruned"] + [st["edges"], st["crossing_tests"]])
+
+
 def test_refinement_tightens_distances(disk64, disk128, disk_domain):
     # refining the grid can only shorten graph paths, up to attachment noise
     pts = sample_interior(disk_domain, 40, seed=42, min_delta=0.03)
@@ -292,7 +384,7 @@ def test_refinement_tightens_distances(disk64, disk128, disk_domain):
 def _fresh(g):
     """The same graph with no sweep run yet, so no hub field."""
     return GridGraph(g.domain, g.params, g.centers, g.deltas, g.levels,
-                     g.csr_qh, g.csr_euc, g.labels, g.warnings)
+                     g.csr_qh, g.csr_euc, g.labels, g.warnings, g.stats)
 
 
 def _mirror_pairs(domain, n, seed):
