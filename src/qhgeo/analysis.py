@@ -95,6 +95,8 @@ def estimate_delta_four_point(g: GridGraph, n_samples: int, seed: int,
 
     The pool is fixed by the seed; quadruple rows are drawn in one stream,
     so the estimate is monotone nondecreasing in n_samples for a fixed seed.
+    The pool's distances come from GridGraph.node_distance_matrix: one
+    sweep per pool node but the deepest, each stopped at a triangle bound.
     """
     if n_samples < 1:
         raise SampleError("n_samples must be >= 1")
@@ -119,7 +121,13 @@ def estimate_delta_four_point(g: GridGraph, n_samples: int, seed: int,
 
 def estimate_delta_thin_triangles(g: GridGraph, n_samples: int, seed: int,
                                   pool_size: int = 60) -> DeltaEstimate:
-    """Max one-sided Hausdorff gap of geodesic triangle sides (thinness)."""
+    """Max one-sided Hausdorff gap of geodesic triangle sides (thinness).
+
+    The sides come from one predecessor sweep per distinct corner that
+    starts a side (a to b and c, b to c), each stopped at the hub bound to
+    its targets; each gap is one multi-source sweep stopped at half the
+    side's length. Both cuts leave every float of the full sweeps.
+    """
     if n_samples < 1:
         raise SampleError("n_samples must be >= 1")
     if g.node_count < 3:
@@ -127,26 +135,31 @@ def estimate_delta_thin_triangles(g: GridGraph, n_samples: int, seed: int,
     rng = np.random.default_rng(seed)
     pool = _sample_pool(g, pool_size, rng)
     triples = rng.integers(0, len(pool), size=(n_samples, 3))
-    runs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def run(u: int):
-        if u not in runs:
-            runs[u] = g.node_field_with_pred(u)
-        return runs[u]
+    # each source's targets: b and c from a, c from b (no run from b == c)
+    targets: dict[int, set[int]] = {}
+    for a, b, c in pool[triples].tolist():
+        targets.setdefault(a, set()).update((b, c))
+        if b != c:
+            targets.setdefault(b, set()).add(c)
+    runs = {u: g._reach(False, u, sorted(ts), predecessors=True)
+            for u, ts in targets.items()}
 
     best_val = 0.0
     best_triple = triples[0]
     for row in triples:
         a, b, c = (int(pool[i]) for i in row)
-        dist_a, pred_a = run(a)
-        dist_b, pred_b = run(b)
+        dist_a, pred_a = runs[a]
         side_ab = np.asarray(GridGraph._chain(pred_a, a, b) if a != b else [a])
         side_ac = np.asarray(GridGraph._chain(pred_a, a, c) if a != c else [a])
-        side_bc = np.asarray(GridGraph._chain(pred_b, b, c) if b != c else [b])
+        if b != c:
+            dist_b, pred_b = runs[b]
+            side_bc, len_bc = np.asarray(GridGraph._chain(pred_b, b, c)), dist_b[c]
+        else:
+            side_bc, len_bc = np.asarray([b]), 0.0
         val = 0.0
         for side, length, others in ((side_ab, dist_a[b], (side_ac, side_bc)),
                                      (side_ac, dist_a[c], (side_ab, side_bc)),
-                                     (side_bc, dist_b[c], (side_ab, side_ac))):
+                                     (side_bc, len_bc, (side_ab, side_ac))):
             # every node of a geodesic side lies within half its length of
             # an endpoint, and both endpoints lie on the other sides, so the
             # sweep can stop there; the slack covers float rounding only

@@ -69,8 +69,12 @@ holds, not state of the graph. When x0's node is the hub, the basepoint and
 the qh hub field are one and the same predecessor sweep, so the hub cache
 holds each field together with its predecessors. dist_field is a
 basepoint's field plus its stub; the other full-field calls (node_field,
-node_field_with_pred, multi_source_field, node_distance_matrix) never use
-the hub field.
+node_field_with_pred, multi_source_field) never use the hub field.
+
+node_distance_matrix uses the same triangle bound with its own rows as the
+landmarks: it sweeps each pair once, from the end that comes first in
+(delta, node id) order, and stops each sweep at the distance through the
+nodes swept before it (see its docstring).
 """
 from __future__ import annotations
 
@@ -443,18 +447,36 @@ class GridGraph:
         return self._sweep(self.csr_qh, nodes, min_only=True, limit=limit)
 
     def node_distance_matrix(self, nodes) -> np.ndarray:
-        """Pairwise graph distances between the given nodes.
+        """Pairwise graph distances between the given nodes, one sweep per pair.
 
-        A multi-source sweep returns a full row per source, and only the
-        given nodes' columns are kept, so sources go in batches of 2^20 /
-        node_count (at least one): each batch's rows stay under 8 MB.
+        Entry (i, j) is the float a full sweep gives from whichever of the
+        two nodes comes first in (delta, node id) order, so the matrix is
+        symmetric bit for bit and does not depend on the order of nodes.
+        The distinct nodes are swept in that order, shallowest first, each
+        only to the nodes after it. Through any node k already swept,
+        d(i, j) <= D[k, i] + D[k, j], so the sweep from i stops at
+        max_j min_k (D[k, i] + D[k, j]) * (1 + 1e-9) with the same floats
+        as a full sweep; the slack covers float rounding only. The first
+        sweep runs in full, as does one whose bound is inf (some target in
+        another component than every swept node), and entries across
+        components are inf. A target left unreached under a finite bound
+        raises InternalInvariantError.
         """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        chunk = max(1, (1 << 20) // self.node_count)
-        out = np.empty((len(nodes), len(nodes)))
-        for s in range(0, len(nodes), chunk):
-            out[s:s + chunk] = self._sweep(self.csr_qh, nodes[s:s + chunk])[:, nodes]
-        return out
+        uniq, inv = np.unique(np.asarray(nodes, dtype=np.int64), return_inverse=True)
+        order = np.argsort(self.deltas[uniq], kind="stable")  # ties: lower id
+        src = uniq[order]
+        m = len(src)
+        d = np.zeros((m, m))
+        for r in range(m - 1):
+            limit = np.inf if r == 0 else float(
+                (d[:r, r, None] + d[:r, r + 1:]).min(axis=0).max()) * (1 + 1e-9)
+            row = self._sweep(self.csr_qh, int(src[r]), limit=limit)[src[r + 1:]]
+            if math.isfinite(limit) and not np.isfinite(row).all():
+                raise InternalInvariantError("target node beyond the triangle bound")
+            d[r, r + 1:] = d[r + 1:, r] = row
+        pos = np.empty(m, dtype=np.int64)
+        pos[order] = np.arange(m)
+        return d[np.ix_(pos[inv], pos[inv])]
 
 
 def _child_tiles(tx: np.ndarray, ty: np.ndarray, parent_delta: np.ndarray,

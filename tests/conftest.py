@@ -7,7 +7,7 @@ tests import them directly via the conftest path hook.
 import numpy as np
 import pytest
 
-from qhgeo import GridParams, build_grid, compile_domain
+from qhgeo import GridGraph, GridParams, build_grid, compile_domain
 from qhgeo import grid as grid_module
 
 
@@ -32,6 +32,12 @@ def eq1_lower_bounds(domain, x, y):
     dx, dy = domain.delta_many(pts)
     gap = float(np.hypot(*(pts[1] - pts[0])))
     return float(np.log1p(gap / min(dx, dy))), abs(float(np.log(dy / dx)))
+
+
+def fresh_graph(g):
+    """The same graph with no sweep run yet, so no hub field."""
+    return GridGraph(g.domain, g.params, g.centers, g.deltas, g.levels,
+                     g.csr_qh, g.csr_euc, g.labels, g.warnings, g.stats)
 
 
 class _CountingCsgraph:

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import fresh_graph
 from qhgeo import (GrowthFunction, estimate_delta_four_point,
                    estimate_delta_thin_triangles, gromov_product,
                    gromov_product_boundary_probe, growth_check,
@@ -201,7 +202,43 @@ def test_estimates_unchanged_by_sweep_pruning(disk128):
     thin = estimate_delta_thin_triangles(disk128, 200, seed=7)
     assert thin.value.hex() == "0x1.8ea5bd9026898p-1"
     four = estimate_delta_four_point(disk128, 2000, seed=7)
-    assert four.value.hex() == "0x1.f2a6f935d79a8p-2"
+    # the distance matrix sweeps each pair once, from the (delta, id)-first
+    # end, which moved the last bits; a full sweep from every pool node gave
+    # 0x1.f2a6f935d79a8p-2, with the same worst configuration
+    assert four.value.hex() == "0x1.f2a6f935d7990p-2"
+    assert abs(four.value - float.fromhex("0x1.f2a6f935d79a8p-2")) <= 1e-14
+    assert four.worst_configuration == (
+        (-0.17578125, -0.51953125), (0.89453125, 0.14453125),
+        (0.814453125, -0.462890625), (0.45703125, -0.77734375))
+
+
+def test_thin_triangle_runs_are_hub_bounded(disk128, sweeps, monkeypatch):
+    # with the qh hub field in place every predecessor run stops at the hub
+    # bound to its targets, and the estimate is the full sweeps' float
+    g = fresh_graph(disk128)
+    g.qh_distance((0.1, 0.2), (-0.4, 0.3))
+    g.qh_distance((0.5, 0.1), (-0.2, -0.6))
+    real = g._reach
+    runs = []
+
+    def spy(inner, u, targets, predecessors=False):
+        start = len(sweeps)
+        out = real(inner, u, targets, predecessors)
+        runs.append(sweeps[start:])
+        return out
+
+    monkeypatch.setattr(g, "_reach", spy)
+    est = estimate_delta_thin_triangles(g, 10, seed=7)
+    assert runs and all(len(r) <= 1 and np.isfinite(r).all() for r in runs)
+    assert sum(map(len, runs)) > 0
+
+    def full(inner, u, targets, predecessors=False):
+        return g._sweep(g._metric(inner)[0], u, predecessors=predecessors)
+
+    monkeypatch.setattr(g, "_reach", full)
+    want = estimate_delta_thin_triangles(g, 10, seed=7)
+    assert est.value.hex() == want.value.hex()
+    assert est.worst_configuration == want.worst_configuration
 
 
 def test_thin_triangle_estimate(disk64):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.sparse import csgraph
 
-from conftest import sample_interior
-from qhgeo import (GridGraph, GridParams, build_grid, compile_domain,
+from conftest import fresh_graph, sample_interior
+from qhgeo import (GridParams, build_grid, compile_domain,
                    gromov_product, nearest_node)
 from qhgeo.curves import ArcPiece, SegPiece, pieces_distance
 from qhgeo.errors import (DomainError, InternalInvariantError, ResolutionError,
@@ -287,6 +287,70 @@ def test_unreachable_components():
     assert g.qh_distance((0, 0.5), (0.1, 0.6)) > 0.0
 
 
+# -- node distance matrix -----------------------------------------------------
+
+def _brute_matrix(g, nodes):
+    """Full node_field sweeps, each entry from the (delta, id)-first endpoint."""
+    fields = {u: g.node_field(u) for u in set(nodes)}
+
+    def entry(u, v):
+        first, other = sorted((u, v), key=lambda w: (g.deltas[w], w))
+        return fields[first][other]
+
+    return np.array([[entry(u, v) for v in nodes] for u in nodes])
+
+
+def _sampled_nodes(g, n, seed):
+    """n - 1 distinct nodes of the main component, then the first again."""
+    main = np.flatnonzero(g.labels == np.bincount(g.labels).argmax())
+    nodes = np.random.default_rng(seed).choice(main, n - 1, replace=False)
+    return np.append(nodes, nodes[0])
+
+
+@pytest.mark.parametrize("grid", ["disk128", "slit_grid"])
+def test_node_distance_matrix_contract(grid, request, sweeps):
+    # one sweep per pair from the shallower end: symmetric bit for bit, the
+    # full sweep's float, and independent of the order of the nodes
+    g = request.getfixturevalue(grid)
+    nodes = _sampled_nodes(g, 40, seed=2)
+    d = g.node_distance_matrix(nodes)
+    if grid == "disk128":  # connected: every sweep after the first is bounded
+        assert len(set(g.labels.tolist())) == 1
+        assert sweeps[0] == np.inf and len(sweeps) == 38
+        assert np.isfinite(sweeps[1:]).all()
+    assert d.tobytes() == d.T.tobytes()
+    assert d.tobytes() == _brute_matrix(g, nodes.tolist()).tobytes()
+    perm = np.random.default_rng(3).permutation(len(nodes))
+    assert g.node_distance_matrix(nodes[perm]).tobytes() == d[np.ix_(perm, perm)].tobytes()
+    assert d[0, -1] == d[-1, 0] == 0.0 and (np.diag(d) == 0.0).all()
+
+
+def test_node_distance_matrix_across_components():
+    # entries across the cut are inf; their sweeps run in full, nothing raises
+    g = _split_disk()
+    upper = np.flatnonzero(g.labels == g.labels[g.attach((0.0, 0.5))[0]])
+    lower = np.flatnonzero(g.labels != g.labels[upper[0]])
+    rng = np.random.default_rng(5)
+    nodes = np.concatenate([rng.choice(upper, 6, replace=False),
+                            rng.choice(lower, 6, replace=False)])
+    d = g.node_distance_matrix(nodes)
+    assert np.isinf(d[:6, 6:]).all() and np.isinf(d[6:, :6]).all()
+    assert np.isfinite(d[:6, :6]).all() and np.isfinite(d[6:, 6:]).all()
+    assert d.tobytes() == _brute_matrix(g, nodes.tolist()).tobytes()
+
+
+def test_node_distance_matrix_bound_too_small_raises(disk64, monkeypatch):
+    real = disk64._sweep
+
+    def halved(weights, sources, **kwargs):
+        kwargs["limit"] = 0.5 * kwargs["limit"]
+        return real(weights, sources, **kwargs)
+
+    monkeypatch.setattr(disk64, "_sweep", halved)
+    with pytest.raises(InternalInvariantError):
+        disk64.node_distance_matrix(_sampled_nodes(disk64, 10, seed=1))
+
+
 # -- the built graph, bit for bit ---------------------------------------------
 
 def _graph_digest(g):
@@ -381,12 +445,6 @@ def test_refinement_tightens_distances(disk64, disk128, disk_domain):
 
 # -- hub-field bound on point-to-point sweeps ---------------------------------
 
-def _fresh(g):
-    """The same graph with no sweep run yet, so no hub field."""
-    return GridGraph(g.domain, g.params, g.centers, g.deltas, g.levels,
-                     g.csr_qh, g.csr_euc, g.labels, g.warnings, g.stats)
-
-
 def _mirror_pairs(domain, n, seed):
     """Sampled points paired with their mirror images in the box's midlines."""
     lo, hi = np.asarray(domain.bbox_lo), np.asarray(domain.bbox_hi)
@@ -451,7 +509,7 @@ def test_hub_bound_keeps_geodesics(grid, domain, request):
     # both give the same chain
     g = request.getfixturevalue(grid)
     for x, y in _mirror_pairs(request.getfixturevalue(domain), 4, seed=5)[:4]:
-        h = _fresh(g)
+        h = fresh_graph(g)
         for geodesic in (h.qh_geodesic, h.inner_geodesic):
             first = geodesic(x, y).points
             assert geodesic(x, y).points.tobytes() == first.tobytes()
@@ -459,7 +517,7 @@ def test_hub_bound_keeps_geodesics(grid, domain, request):
 
 
 def test_hub_field_sweep_counts(disk64, sweeps):
-    g = _fresh(disk64)
+    g = fresh_graph(disk64)
     g.qh_distance((0.1, 0.2), (-0.4, 0.3))
     assert sweeps == [np.inf]
     g.qh_distance((0.5, 0.1), (-0.2, -0.6))
@@ -475,7 +533,7 @@ def test_hub_field_sweep_counts(disk64, sweeps):
 
 def test_first_sweep_from_hub_is_kept(disk64, sweeps):
     # a first sweep from the hub is full, so it serves as the hub field
-    g = _fresh(disk64)
+    g = fresh_graph(disk64)
     centre = tuple(g.centers[np.argmax(g.deltas)])
     k = g.qh_distance(centre, (0.5, 0.1))
     assert sweeps == [np.inf] and not g._hub_fields[False][0].flags.writeable
@@ -507,7 +565,7 @@ def test_hub_in_other_component(sweeps):
 
 
 def test_hub_bound_too_small_raises(disk64, monkeypatch):
-    g = _fresh(disk64)
+    g = fresh_graph(disk64)
     short = np.zeros(g.node_count)
     short.setflags(write=False)
     pred = np.full(g.node_count, -9999, dtype=np.int32)
@@ -549,7 +607,7 @@ def test_basepoint_is_one_plain_sweep(grid, domain, request):
 def test_basepoint_at_hub_is_hub_field(disk64, sweeps):
     # the basepoint at the hub, the qh hub field, dist_field and the point
     # queries from the hub share one predecessor sweep
-    g = _fresh(disk64)
+    g = fresh_graph(disk64)
     centre = tuple(g.centers[np.argmax(g.deltas)])
     bp = g.basepoint(centre)
     assert bp.node == np.argmax(g.deltas) and sweeps == [np.inf]
