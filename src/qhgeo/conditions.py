@@ -52,7 +52,7 @@ def cone_arc_constant(d: Domain, path: PathPolyline) -> ConeArcStats:
     suffix = np.concatenate([[0.0], np.cumsum(seg[::-1])])[::-1]
     ratio = np.minimum(prefix, suffix) / path.deltas
     i = int(ratio.argmax())
-    return ConeArcStats(path, float(ratio[i]), Point2(pts[i, 0], pts[i, 1]))
+    return ConeArcStats(path, float(ratio[i]), as_point(pts[i]))
 
 
 @dataclass

@@ -4,11 +4,13 @@ A DomainSpec is a small algebraic description (disks, rectangles, polygons,
 unions, differences, slit sets, and two generator families). compile_domain
 turns a spec into a Domain: vectorized membership, exact distance to the
 trimmed boundary, crossing tests, named anchors, and a coarse connectivity
-check. Membership uses the open-set convention: points exactly on the
-boundary are outside.
+check. Domain membership is the open set: points exactly on the boundary
+are outside. `_inside` states each spec type's rule once, for the open set
+and for its Euclidean closure, which the difference rule needs for its holes.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -414,103 +416,48 @@ def _polygon_parity(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return (hits.sum(axis=1) % 2) == 1
 
 
-def _build_membership(spec: DomainSpec):
-    """Return (open_fn, closed_fn) for an expanded spec, both vectorized."""
+def _inside(spec: DomainSpec, pts: np.ndarray, closed: bool = False) -> np.ndarray:
+    """Membership of each row of pts in an expanded spec's open set, or in its
+    closure when closed.
+
+    A difference removes each hole's closure from the open set and each
+    hole's open set from the closure; slits cut the open set only.
+    """
+    below = np.less_equal if closed else np.less
     if isinstance(spec, DiskSpec):
         (cx, cy), r = spec.center, spec.radius
-
-        def open_fn(pts):
-            return np.hypot(pts[:, 0] - cx, pts[:, 1] - cy) < r
-
-        def closed_fn(pts):
-            return np.hypot(pts[:, 0] - cx, pts[:, 1] - cy) <= r
-
-        return open_fn, closed_fn
+        return below(np.hypot(pts[:, 0] - cx, pts[:, 1] - cy), r)
     if isinstance(spec, RectSpec):
         (x0, y0), (x1, y1) = spec.lo, spec.hi
-
-        def open_fn(pts):
-            return ((pts[:, 0] > x0) & (pts[:, 0] < x1)
-                    & (pts[:, 1] > y0) & (pts[:, 1] < y1))
-
-        def closed_fn(pts):
-            return ((pts[:, 0] >= x0) & (pts[:, 0] <= x1)
-                    & (pts[:, 1] >= y0) & (pts[:, 1] <= y1))
-
-        return open_fn, closed_fn
+        x, y = pts[:, 0], pts[:, 1]
+        return below(x0, x) & below(x, x1) & below(y0, y) & below(y, y1)
     if isinstance(spec, PolygonSpec):
         verts = np.asarray(spec.vertices)
-        span = float(max(verts.max(axis=0) - verts.min(axis=0)))
-        tol = 1e-12 * max(1.0, span)
-        edges = [(verts[i], verts[(i + 1) % len(verts)]) for i in range(len(verts))]
-
-        def on_edge(pts):
-            d = np.full(len(pts), np.inf)
-            for a, b in edges:
-                np.minimum(d, seg_point_distance(a, b, pts), out=d)
-            return d <= tol
-
-        def open_fn(pts):
-            out = np.empty(len(pts), dtype=bool)
-            for s in range(0, len(pts), 131072):
-                chunk = pts[s:s + 131072]
-                out[s:s + 131072] = _polygon_parity(verts, chunk) & ~on_edge(chunk)
-            return out
-
-        def closed_fn(pts):
-            out = np.empty(len(pts), dtype=bool)
-            for s in range(0, len(pts), 131072):
-                chunk = pts[s:s + 131072]
-                out[s:s + 131072] = _polygon_parity(verts, chunk) | on_edge(chunk)
-            return out
-
-        return open_fn, closed_fn
+        tol = 1e-12 * max(1.0, float(max(verts.max(axis=0) - verts.min(axis=0))))
+        out = np.empty(len(pts), dtype=bool)
+        for s in range(0, len(pts), 131072):
+            chunk = pts[s:s + 131072]
+            d = np.full(len(chunk), np.inf)
+            for a, b in zip(verts, np.roll(verts, -1, axis=0)):
+                np.minimum(d, seg_point_distance(a, b, chunk), out=d)
+            parity, edge = _polygon_parity(verts, chunk), d <= tol
+            out[s:s + 131072] = parity | edge if closed else parity & ~edge
+        return out
     if isinstance(spec, UnionSpec):
-        fns = [_build_membership(p) for p in spec.parts]
-
-        def open_fn(pts):
-            out = np.zeros(len(pts), dtype=bool)
-            for o, _ in fns:
-                out |= o(pts)
-            return out
-
-        def closed_fn(pts):
-            out = np.zeros(len(pts), dtype=bool)
-            for _, c in fns:
-                out |= c(pts)
-            return out
-
-        return open_fn, closed_fn
+        return np.logical_or.reduce([_inside(p, pts, closed) for p in spec.parts])
     if isinstance(spec, DifferenceSpec):
-        base_open, base_closed = _build_membership(spec.base)
-        holes = [_build_membership(h) for h in spec.holes]
-
-        def open_fn(pts):
-            out = base_open(pts)
-            for _, c in holes:
-                out &= ~c(pts)
-            return out
-
-        def closed_fn(pts):
-            out = base_closed(pts)
-            for o, _ in holes:
-                out &= ~o(pts)
-            return out
-
-        return open_fn, closed_fn
+        out = _inside(spec.base, pts, closed)
+        for hole in spec.holes:
+            out &= ~_inside(hole, pts, not closed)
+        return out
     if isinstance(spec, SlitSetSpec):
-        base_open, base_closed = _build_membership(spec.base)
-        blo, bhi = _spec_bbox(spec.base)
-        tol = 1e-12 * max(1.0, bhi[0] - blo[0], bhi[1] - blo[1])
-        segs = [(np.asarray(a), np.asarray(b)) for a, b in spec.segments]
-
-        def open_fn(pts):
-            out = base_open(pts)
-            for a, b in segs:
+        out = _inside(spec.base, pts, closed)
+        if not closed:
+            blo, bhi = _spec_bbox(spec.base)
+            tol = 1e-12 * max(1.0, bhi[0] - blo[0], bhi[1] - blo[1])
+            for a, b in spec.segments:
                 out &= seg_point_distance(a, b, pts) > tol
-            return out
-
-        return open_fn, base_closed
+        return out
     raise TypeError(f"not an expanded DomainSpec: {spec!r}")
 
 
@@ -549,24 +496,16 @@ class Anchor:
     inward: tuple[float, float] | None = None  # None for interior anchors
 
 
-def _disk_anchors(spec: DiskSpec, prefix: str = "") -> dict[str, Anchor]:
-    (cx, cy), r = spec.center, spec.radius
-    return {
-        prefix + "center": Anchor(Point2(cx, cy)),
-        prefix + "rim_east": Anchor(Point2(cx + r, cy), (-1.0, 0.0)),
-        prefix + "rim_west": Anchor(Point2(cx - r, cy), (1.0, 0.0)),
-        prefix + "rim_north": Anchor(Point2(cx, cy + r), (0.0, -1.0)),
-        prefix + "rim_south": Anchor(Point2(cx, cy - r), (0.0, 1.0)),
-    }
-
-
-def _slit_anchor_names(k: int, count: int) -> str:
-    return "slit" if count == 1 else f"slit{k + 1}"
-
-
 def _build_anchors(spec: DomainSpec) -> dict[str, Anchor]:
     if isinstance(spec, DiskSpec):
-        return _disk_anchors(spec)
+        (cx, cy), r = spec.center, spec.radius
+        return {
+            "center": Anchor(Point2(cx, cy)),
+            "rim_east": Anchor(Point2(cx + r, cy), (-1.0, 0.0)),
+            "rim_west": Anchor(Point2(cx - r, cy), (1.0, 0.0)),
+            "rim_north": Anchor(Point2(cx, cy + r), (0.0, -1.0)),
+            "rim_south": Anchor(Point2(cx, cy - r), (0.0, 1.0)),
+        }
     if isinstance(spec, RectSpec):
         (x0, y0), (x1, y1) = spec.lo, spec.hi
         mx, my = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
@@ -600,7 +539,7 @@ def _build_anchors(spec: DomainSpec) -> dict[str, Anchor]:
             up = (-d[1], d[0])
             mid = (0.5 * (tip[0] + outer[0]), 0.5 * (tip[1] + outer[1]))
             diag = ((up[0] - d[0]) / math.sqrt(2.0), (up[1] - d[1]) / math.sqrt(2.0))
-            name = _slit_anchor_names(k, len(spec.segments))
+            name = "slit" if len(spec.segments) == 1 else f"slit{k + 1}"
             out[f"{name}_tip"] = Anchor(Point2(*tip), (-d[0], -d[1]))
             out[f"{name}_outer"] = Anchor(Point2(*outer), diag)
             out[f"{name}_mid_top"] = Anchor(Point2(*mid), up)
@@ -753,11 +692,10 @@ def _probe_connectivity(domain: Domain) -> None:
 
 def compile_domain(spec, check_connectivity: bool = True) -> Domain:
     """Compile a DomainSpec (or JSON text/dict) into a queryable Domain."""
-    if not isinstance(spec, (DiskSpec, RectSpec, PolygonSpec, UnionSpec,
-                             DifferenceSpec, SlitSetSpec, FootFingersSpec, CombSpec)):
+    if not isinstance(spec, DomainSpec):
         spec = parse_domain(spec)
     expanded = _expand(spec)
-    open_fn, _ = _build_membership(expanded)
+    open_fn = functools.partial(_inside, expanded)
     bbox_lo, bbox_hi = _spec_bbox(expanded)
     scale = max(bbox_hi[0] - bbox_lo[0], bbox_hi[1] - bbox_lo[1])
     prims = _collect_primitives(expanded)

@@ -21,9 +21,6 @@ class Point2:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ConstraintError(f"point coordinates must be finite, got ({self.x}, {self.y})")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
     def as_tuple(self) -> tuple[float, float]:
         return (self.x, self.y)
 

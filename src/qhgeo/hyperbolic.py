@@ -141,8 +141,8 @@ def compare_metrics_disk(g: GridGraph, pairs,
         px, py = as_point(x), as_point(y)
         k = g.qh_distance(px, py)
         h = hyp_distance_disk(px, py, n)
-        lo = k * (1.0 - eps) <= h
-        hi = h <= 2.0 * k * (1.0 + eps)
+        lo = bool(k * (1.0 - eps) <= h)
+        hi = bool(h <= 2.0 * k * (1.0 + eps))
         ok = ok and lo and hi
         rows.append((px.as_tuple(), py.as_tuple(), float(k), float(h), lo, hi))
     return CompareReport(rows, ok, eps)

@@ -1,11 +1,15 @@
 """Cone arcs, growth fits, integral test, geodesic shape conditions."""
+import json
+
 import numpy as np
 import pytest
 
 from qhgeo import (GrowthFunction, PathPolyline, ball_separation_check,
-                   cone_arc_constant, gehring_hayman_ratio, growth_check,
-                   integral_condition, john_center_probe, parse_growth_function,
-                   qhbc_fit)
+                   bh_quasigeodesic_check, compare_metrics_disk,
+                   cone_arc_constant, estimate_delta_four_point,
+                   gehring_hayman_ratio, growth_check, integral_condition,
+                   john_center_probe, parse_growth_function, qhbc_fit,
+                   visibility_probe)
 from qhgeo.errors import FunctionError, GeometryError, SampleError
 
 SCALES = [0.25, 0.125, 0.0625, 0.03125]
@@ -219,3 +223,40 @@ def test_ball_separation_disk(disk128):
     tight = ball_separation_check(disk128, ((-0.5, 0.7), (0.5, 0.7)), 0.01)
     assert not tight.holds
     assert tight.worst_ratio == rep.worst_ratio
+
+
+# -- report serialization -----------------------------------------------------
+
+def _plain(v):
+    """Whether v holds only dicts with str keys, lists, str, int, float, bool
+    and None, numpy scalars excluded."""
+    if type(v) is dict:
+        return all(type(k) is str and _plain(x) for k, x in v.items())
+    if type(v) is list:
+        return all(_plain(x) for x in v)
+    return v is None or type(v) in (str, int, float, bool)
+
+
+def test_every_report_to_dict_is_plain_json(disk64, disk_domain):
+    g, dom = disk64, disk_domain
+    rim = [dom.anchors["rim_east"], dom.anchors["rim_west"]]
+    phi = parse_growth_function({"family": "log_affine", "A": 2, "B": 1})
+    reports = [
+        estimate_delta_four_point(g, 200, seed=7),
+        visibility_probe(g, *rim, (0.0, 0.0), SCALES),
+        cone_arc_constant(dom, radial_path(dom, 0.0, 0.9, 51)),
+        john_center_probe(g, (0.0, 0.0), rim, [0.02, 0.01]),
+        qhbc_fit(g, (0.0, 0.0), 200, seed=11),
+        phi,
+        growth_check(g, (0.0, 0.0), phi, 200, seed=3),
+        integral_condition(phi, 50),
+        gehring_hayman_ratio(g, [((-0.5, 0.0), (0.5, 0.0))]),
+        ball_separation_check(g, ((-0.5, 0.7), (0.5, 0.7)), 5.0),
+        compare_metrics_disk(g, [((0.0, 0.0), (0.5, 0.0)), ((0.1, 0.2), (0.5, -0.3))]),
+        bh_quasigeodesic_check(g, [((-0.5, 0.0), (0.5, 0.0))], n_points=64),
+    ]
+    assert len({type(r) for r in reports}) == 12
+    for r in reports:
+        d = r.to_dict()
+        json.dumps(d)
+        assert _plain(d), type(r).__name__

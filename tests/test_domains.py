@@ -1,4 +1,5 @@
 """Domain parsing, membership, boundary distance, anchors."""
+import hashlib
 import json
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 
 from qhgeo import (compile_domain, domain_to_json, make_foot_fingers,
                    parse_domain)
-from qhgeo.domains import foot_fingers_layout
+from qhgeo.domains import _expand, _inside, foot_fingers_layout
 from qhgeo.errors import (ConstraintError, DisconnectedDomainError,
                           DomainError, ParseError)
+from qhgeo.suites import load_suite_params
 
 
 def test_parse_round_trip():
@@ -172,3 +174,91 @@ def test_foot_fingers_validation():
         make_foot_fingers(2.25, 1.0, 3, r0=0.9)
     with pytest.raises(ConstraintError):
         make_foot_fingers(2.25, 1.0, 3, decay=1.5)
+
+
+_L_VERTS = [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]
+# base minus [a disk with a square island, an overlapping rect and disk]:
+# the island makes the difference rule run the closure of a difference
+_NESTED_HOLES = {
+    "type": "difference",
+    "base": {"type": "rect", "min": [0, 0], "max": [4, 2]},
+    "holes": [{"type": "difference",
+               "base": {"type": "disk", "center": [1, 1], "radius": 0.8},
+               "holes": [{"type": "rect", "min": [0.75, 0.75], "max": [1.25, 1.25]}]},
+              {"type": "union",
+               "parts": [{"type": "rect", "min": [2.5, 0.5], "max": [3, 1.5]},
+                         {"type": "disk", "center": [3.2, 1], "radius": 0.4}]}]}
+_MEMBERSHIP_SPECS = {
+    **{name: params["domain"] for name, params in load_suite_params().items()},
+    "l_polygon": {"type": "polygon", "vertices": _L_VERTS},
+    "two_disks": {"type": "union",
+                  "parts": [{"type": "disk", "center": [-0.4, 0], "radius": 0.7},
+                            {"type": "disk", "center": [0.4, 0], "radius": 0.7}]},
+    "polygon_slits": {"type": "slits", "base": {"type": "polygon", "vertices": _L_VERTS},
+                      "segments": [[[0.5, 0], [0.5, 0.75]], [[1.5, 1], [1.5, 0.25]]]},
+    "nested_holes": _NESTED_HOLES,
+}
+
+
+def _membership_points(domain):
+    """A seeded cloud around the bbox plus a 257x257 lattice on it."""
+    lo = np.asarray(domain.bbox_lo)
+    hi = np.asarray(domain.bbox_hi)
+    pad = 0.05 * (hi - lo)
+    cloud = np.random.default_rng(11).uniform(lo - pad, hi + pad, size=(20000, 2))
+    gx, gy = np.meshgrid(np.linspace(lo[0], hi[0], 257), np.linspace(lo[1], hi[1], 257))
+    return np.concatenate([cloud, np.column_stack([gx.ravel(), gy.ravel()])])
+
+
+# frozen from the membership built as separate open and closed closures:
+# one rule per spec must give every point, piece and anchor the same bits
+_MEMBERSHIP_DIGESTS = {
+    "comb": "4b25d140f020971b024d263d5f2d702b74040fdfe0257ac1490c97280f350f17",
+    "disk_reference": "243f35fa6c123f52e16c01ebc7dbe00f33bf3e0f3ebe3638d7259551d7ef6678",
+    "example8": "e4d2b7a783ac8bbf0b9f1e9a59fe71c672beaf3ebdefaa116610678a28dffb23",
+    "l_polygon": "9796b6f5f056a198f09b3a9349cfc2b71e054a1a28afd8439504aad7a4351204",
+    "nested_holes": "df44c7a4b05887f86b7a72c171c92816f6547dc8bc6d5e18663ee5a3b02628d7",
+    "polygon_slits": "e5b2d5e2352a8255a5af193c0101420b7eb483cca2103517ad78364a2dafc4e1",
+    "slit": "94613844110aa6c95003e1ea36b150736c71773d408675326d0c4eb065dc4d0c",
+    "two_disks": "b8ea45b325d00d30a4bba49ca5c6b04564121aa11b1d46e21974a743b06381c9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MEMBERSHIP_SPECS))
+def test_membership_digest_unchanged(name):
+    d = compile_domain(_MEMBERSHIP_SPECS[name], check_connectivity=False)
+    h = hashlib.sha256(d.contains_many(_membership_points(d)).tobytes())
+    h.update(repr(d.pieces).encode())
+    h.update(repr(sorted(d.anchors.items())).encode())
+    assert h.hexdigest() == _MEMBERSHIP_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name, inside, boundary, exterior", [
+    ("disk_reference", [(0.0, 0.0), (0.0, 0.999)], [(1.0, 0.0), (0.0, -1.0)],
+     [(1.001, 0.0)]),
+    ("slit", [(0.5, 1e-9), (-0.5, 0.0)], [(0.5, 0.0), (1.0, 0.0), (0.0, 0.0)],
+     [(0.0, 1.5)]),
+    ("polygon_slits", [(0.4, 0.5), (0.6, 0.5), (0.5, 0.8)],
+     [(0.5, 0.5), (0.5, 0.0), (1.5, 0.25), (1.0, 1.5), (2.0, 0.5)], [(1.5, 1.5)]),
+    # the square island inside the disk hole belongs to the domain
+    ("nested_holes", [(1.0, 1.0), (1.2, 1.2), (0.1, 0.1), (3.9, 1.0)],
+     [(1.8, 1.0), (1.0, 0.2), (0.75, 1.0), (1.0, 1.25), (1.25, 1.25),
+      (2.5, 1.0), (3.0, 0.5), (3.2, 0.6), (0.0, 1.0)],
+     [(1.5, 1.0), (3.2, 1.0), (2.75, 1.0), (4.5, 1.0)]),
+])
+def test_membership_hand_checked(name, inside, boundary, exterior):
+    d = compile_domain(_MEMBERSHIP_SPECS[name], check_connectivity=False)
+    spec = _expand(d.spec)
+    assert d.contains_many(inside).all()
+    assert not d.contains_many(boundary + exterior).any()
+    assert _inside(spec, np.array(inside + boundary), closed=True).all()
+    assert not _inside(spec, np.array(exterior), closed=True).any()
+
+
+@pytest.mark.parametrize("name", sorted(_MEMBERSHIP_SPECS))
+def test_open_set_lies_in_its_closure(name):
+    d = compile_domain(_MEMBERSHIP_SPECS[name], check_connectivity=False)
+    pts = _membership_points(d)
+    inside = d.contains_many(pts)
+    closure = _inside(_expand(d.spec), pts, closed=True)
+    assert not (inside & ~closure).any()
