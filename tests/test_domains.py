@@ -13,6 +13,23 @@ from qhgeo.errors import (ConstraintError, DisconnectedDomainError,
 from qhgeo.suites import load_suite_params
 
 
+_COMB = {"type": "comb", "teeth": 3}
+_DISK = {"type": "disk", "center": [0.5, -1], "radius": 2}
+# one spec per type, with generators nested inside composites
+_JSON_SPECS = {
+    "disk": _DISK,
+    "rect": {"type": "rect", "min": [0, -1], "max": [2, 0.5]},
+    "polygon": {"type": "polygon", "vertices": [[0, 0], [2, 0], [2, 1], [0, 2]]},
+    "union": {"type": "union", "parts": [_COMB, _DISK]},
+    "difference": {"type": "difference",
+                   "base": {"type": "rect", "min": [-1, -1], "max": [2, 2]},
+                   "holes": [_COMB, {"type": "disk", "center": [-0.5, 1.5], "radius": 0.25}]},
+    "slits": {"type": "slits", "base": _COMB, "segments": [[[0.75, 1], [0.75, 0.75]]]},
+    "foot_fingers": {"type": "foot_fingers", "alpha": 2.25, "beta": 1, "m_max": 3},
+    "comb": _COMB,
+}
+
+
 def test_parse_round_trip():
     spec = parse_domain(json.dumps({"type": "disk", "center": [0.5, -1], "radius": 2}))
     obj = domain_to_json(spec)
@@ -20,6 +37,34 @@ def test_parse_round_trip():
     assert tuple(obj["center"]) == (0.5, -1.0)
     assert obj["radius"] == 2.0
     assert parse_domain(obj) == spec
+    for obj in _JSON_SPECS.values():
+        spec = parse_domain(obj)
+        assert parse_domain(domain_to_json(spec)) == spec
+
+
+# frozen from the per-type isinstance chains: the spec classes must write
+# every key, value and key order the same
+_JSON_DIGESTS = {
+    "comb": "5f61a3077c7d9f245cddbe4d90ed43aeab1159f39f2022170de61a5488663ec6",
+    "difference": "694cb3752c48bc5a6059afe9969903eee72bfe46c7f624f28afe5cf5a86c440b",
+    "disk": "a9687a848b582a76841775b97837a7a68ffaa01af35e76e65982405b00172574",
+    "foot_fingers": "10e8fad54183167f77bbdef89575c980453cfcb6ef275853ea0d81f262add1de",
+    "polygon": "efb73d8e960e09db3a8421b2c46661442e88adabd509665d0d50a3cb177527fa",
+    "rect": "66018e1da773f8b14ef5e683863798923abc1ce0024d67f5ef8ff75ef8a748d2",
+    "slits": "d22d6bca9f4e85439e75a05036d8642f54c48da44f81e3c67a218611af7e28fd",
+    "union": "de139362ddde07912543ece685c26058e8796985de5057ac380a40da01f56646",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_JSON_SPECS))
+def test_spec_json_digest_unchanged(name):
+    text = json.dumps(domain_to_json(parse_domain(_JSON_SPECS[name])))
+    assert hashlib.sha256(text.encode()).hexdigest() == _JSON_DIGESTS[name]
+
+
+def test_domain_to_json_rejects_non_spec():
+    with pytest.raises(TypeError):
+        domain_to_json({"type": "disk"})
 
 
 def test_parse_accepts_decoded_dict():
@@ -41,10 +86,23 @@ def test_parse_accepts_decoded_dict():
     ('{"type": "slits", "base": {"type": "disk", "center": [0, 0], "radius": 1},'
      ' "segments": [[[0, 0], [0, 0]]]}', ConstraintError),
     ('{"type": "comb", "teeth": 0}', ConstraintError),
+    ('{"type": ["disk"]}', ParseError),
+    ('{"type": "union", "parts": []}', ParseError),
+    ('{"type": "difference", "base": {"type": "disk", "center": [0, 0], "radius": 1},'
+     ' "holes": {}}', ParseError),
+    ('{"type": "difference", "base": {"type": "rect", "min": [0, 0], "max": [1, 1]},'
+     ' "holes": [{"type": "rect", "min": [0.5, 0.5], "max": [1.5, 0.75]}]}', ConstraintError),
+    ('{"type": "polygon", "vertices": [[0, 0], [4, 0], [4, 4], [2, -1], [0, 4]]}',
+     ConstraintError),
 ])
 def test_parse_rejects(bad, err):
     with pytest.raises(err):
         parse_domain(bad)
+
+
+def test_polygon_rejection_names_the_crossing_edges():
+    with pytest.raises(ConstraintError, match="edges 0 and 2 cross"):
+        parse_domain({"type": "polygon", "vertices": [[0, 0], [4, 0], [4, 4], [2, -1], [0, 4]]})
 
 
 def test_disk_membership_and_delta(disk_domain):
