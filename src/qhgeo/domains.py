@@ -1,89 +1,43 @@
 """Domain specifications, parsing, compilation, and geometric queries.
 
 A DomainSpec is a small algebraic description (disks, rectangles, polygons,
-unions, differences, slit sets, and two generator families). compile_domain
-turns a spec into a Domain: vectorized membership, exact distance to the
-trimmed boundary, crossing tests, named anchors, and a coarse connectivity
-check. Domain membership is the open set: points exactly on the boundary
-are outside. `_inside` states each spec type's rule once, for the open set
-and for its Euclidean closure, which the difference rule needs for its holes.
+unions, differences, slit sets, and two generator families). Each spec type
+is one frozen dataclass that states its rules once: `parse` and `to_json`;
+`expand` to structural specs; `bbox`, `inside` and `primitives` on the
+expanded spec; `anchors` on the unexpanded one. compile_domain turns a spec
+into a Domain: vectorized membership, exact distance to the trimmed
+boundary, crossing tests, named anchors, and a coarse connectivity check.
+Domain membership is the open set: points exactly on the boundary are
+outside. `inside(pts, closed=True)` gives the Euclidean closure, which the
+difference rule needs for its holes.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .curves import (RawCircle, RawSegment, Tiles, pieces_crossings, pieces_distance,
-                     trim_boundary)
+from .curves import (ArcPiece, RawCircle, RawSegment, SegPiece, Tiles, pieces_crossings,
+                     pieces_distance, trim_boundary)
 from .errors import (AnchorError, ConstraintError, DisconnectedDomainError,
                      DomainError, GeometryError, ParseError)
-from .geometry import Point2, as_point, as_points, seg_point_distance
-
-# ---------------------------------------------------------------------------
-# spec types
+from .geometry import (Point2, as_point, as_points, seg_point_distance,
+                       segments_properly_cross)
 
 
 @dataclass(frozen=True)
-class DiskSpec:
-    center: tuple[float, float]
-    radius: float
-
-
-@dataclass(frozen=True)
-class RectSpec:
-    lo: tuple[float, float]
-    hi: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class PolygonSpec:
-    vertices: tuple[tuple[float, float], ...]
-
-
-@dataclass(frozen=True)
-class UnionSpec:
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class DifferenceSpec:
-    base: object
-    holes: tuple
-
-
-@dataclass(frozen=True)
-class SlitSetSpec:
-    base: object
-    segments: tuple[tuple[tuple[float, float], tuple[float, float]], ...]
-
-
-@dataclass(frozen=True)
-class FootFingersSpec:
-    alpha: float
-    beta: float
-    m_max: int
-    r0: float = 0.125
-    decay: float = 0.5
-
-
-@dataclass(frozen=True)
-class CombSpec:
-    teeth: int = 8
-
-
-DomainSpec = (DiskSpec | RectSpec | PolygonSpec | UnionSpec | DifferenceSpec
-              | SlitSetSpec | FootFingersSpec | CombSpec)
+class Anchor:
+    point: Point2
+    inward: tuple[float, float] | None = None  # None for interior anchors
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# parsing helpers
 
 
 def _real(v, path: str, positive: bool = False) -> float:
@@ -115,47 +69,233 @@ def _req(obj: dict, key: str, path: str):
     return obj[key]
 
 
-def _parse_node(obj, path: str) -> DomainSpec:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{path}: expected an object")
-    kind = _req(obj, "type", path)
-    if kind == "disk":
-        return DiskSpec(_pt(_req(obj, "center", path), f"{path}.center"),
-                        _real(_req(obj, "radius", path), f"{path}.radius", positive=True))
-    if kind == "rect":
+def _json_value(v):
+    if isinstance(v, DomainSpec):
+        return v.to_json()
+    if isinstance(v, tuple):
+        return [_json_value(x) for x in v]
+    return v
+
+
+# ---------------------------------------------------------------------------
+# spec types
+
+Box = tuple[tuple[float, float], tuple[float, float]]
+
+class DomainSpec:
+    """Base of the spec types. `kind` is the JSON "type" value; fields go to
+    JSON in declaration order, under `json_keys[name]` where that is given."""
+    kind: str
+    json_keys: dict[str, str] = {}
+
+    def to_json(self) -> dict:
+        out = {"type": self.kind}
+        for f in fields(self):
+            out[self.json_keys.get(f.name, f.name)] = _json_value(getattr(self, f.name))
+        return out
+
+    def expand(self) -> DomainSpec:
+        return self
+
+    def anchors(self) -> dict[str, Anchor]:
+        return {}
+
+
+@dataclass(frozen=True)
+class DiskSpec(DomainSpec):
+    center: tuple[float, float]
+    radius: float
+    kind = "disk"
+
+    @classmethod
+    def parse(cls, obj: dict, path: str) -> DiskSpec:
+        return cls(_pt(_req(obj, "center", path), f"{path}.center"),
+                   _real(_req(obj, "radius", path), f"{path}.radius", positive=True))
+
+    def bbox(self) -> Box:
+        (cx, cy), r = self.center, self.radius
+        return (cx - r, cy - r), (cx + r, cy + r)
+
+    def inside(self, pts: np.ndarray, closed: bool = False) -> np.ndarray:
+        (cx, cy), r = self.center, self.radius
+        return (np.less_equal if closed else np.less)(
+            np.hypot(pts[:, 0] - cx, pts[:, 1] - cy), r)
+
+    def primitives(self) -> list:
+        return [RawCircle(self.center, self.radius)]
+
+    def anchors(self) -> dict[str, Anchor]:
+        (cx, cy), r = self.center, self.radius
+        return {
+            "center": Anchor(Point2(cx, cy)),
+            "rim_east": Anchor(Point2(cx + r, cy), (-1.0, 0.0)),
+            "rim_west": Anchor(Point2(cx - r, cy), (1.0, 0.0)),
+            "rim_north": Anchor(Point2(cx, cy + r), (0.0, -1.0)),
+            "rim_south": Anchor(Point2(cx, cy - r), (0.0, 1.0)),
+        }
+
+
+@dataclass(frozen=True)
+class RectSpec(DomainSpec):
+    lo: tuple[float, float]
+    hi: tuple[float, float]
+    kind = "rect"
+    json_keys = {"lo": "min", "hi": "max"}
+
+    @classmethod
+    def parse(cls, obj: dict, path: str) -> RectSpec:
         lo = _pt(_req(obj, "min", path), f"{path}.min")
         hi = _pt(_req(obj, "max", path), f"{path}.max")
         if not (lo[0] < hi[0] and lo[1] < hi[1]):
             raise ConstraintError(f"{path}: min must be strictly below max in both axes")
-        return RectSpec(lo, hi)
-    if kind == "polygon":
+        return cls(lo, hi)
+
+    def bbox(self) -> Box:
+        return self.lo, self.hi
+
+    def inside(self, pts: np.ndarray, closed: bool = False) -> np.ndarray:
+        below = np.less_equal if closed else np.less
+        (x0, y0), (x1, y1) = self.lo, self.hi
+        x, y = pts[:, 0], pts[:, 1]
+        return below(x0, x) & below(x, x1) & below(y0, y) & below(y, y1)
+
+    def primitives(self) -> list:
+        (x0, y0), (x1, y1) = self.lo, self.hi
+        corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+        return [RawSegment(corners[i], corners[(i + 1) % 4]) for i in range(4)]
+
+    def anchors(self) -> dict[str, Anchor]:
+        (x0, y0), (x1, y1) = self.lo, self.hi
+        mx, my = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+        return {
+            "center": Anchor(Point2(mx, my)),
+            "edge_west": Anchor(Point2(x0, my), (1.0, 0.0)),
+            "edge_east": Anchor(Point2(x1, my), (-1.0, 0.0)),
+            "edge_south": Anchor(Point2(mx, y0), (0.0, 1.0)),
+            "edge_north": Anchor(Point2(mx, y1), (0.0, -1.0)),
+        }
+
+
+@dataclass(frozen=True)
+class PolygonSpec(DomainSpec):
+    vertices: tuple[tuple[float, float], ...]
+    kind = "polygon"
+
+    @classmethod
+    def parse(cls, obj: dict, path: str) -> PolygonSpec:
         raw = _req(obj, "vertices", path)
         if not isinstance(raw, list) or len(raw) < 3:
             raise ParseError(f"{path}.vertices: expected a list of at least 3 points")
         verts = tuple(_pt(v, f"{path}.vertices[{i}]") for i, v in enumerate(raw))
         _check_polygon(verts, path)
-        return PolygonSpec(verts)
-    if kind == "union":
+        return cls(verts)
+
+    def bbox(self) -> Box:
+        arr = np.asarray(self.vertices)
+        return tuple(arr.min(axis=0)), tuple(arr.max(axis=0))
+
+    def inside(self, pts: np.ndarray, closed: bool = False) -> np.ndarray:
+        verts = np.asarray(self.vertices)
+        tol = 1e-12 * max(1.0, float(max(verts.max(axis=0) - verts.min(axis=0))))
+        out = np.empty(len(pts), dtype=bool)
+        for s in range(0, len(pts), 131072):
+            chunk = pts[s:s + 131072]
+            d = np.full(len(chunk), np.inf)
+            for a, b in zip(verts, np.roll(verts, -1, axis=0)):
+                np.minimum(d, seg_point_distance(a, b, chunk), out=d)
+            parity, edge = _polygon_parity(verts, chunk), d <= tol
+            out[s:s + 131072] = parity | edge if closed else parity & ~edge
+        return out
+
+    def primitives(self) -> list:
+        n = len(self.vertices)
+        return [RawSegment(self.vertices[i], self.vertices[(i + 1) % n]) for i in range(n)]
+
+
+@dataclass(frozen=True)
+class UnionSpec(DomainSpec):
+    parts: tuple[DomainSpec, ...]
+    kind = "union"
+
+    @classmethod
+    def parse(cls, obj: dict, path: str) -> UnionSpec:
         raw = _req(obj, "parts", path)
         if not isinstance(raw, list) or not raw:
             raise ParseError(f"{path}.parts: expected a nonempty list")
-        return UnionSpec(tuple(_parse_node(p, f"{path}.parts[{i}]")
-                               for i, p in enumerate(raw)))
-    if kind == "difference":
+        return cls(tuple(_parse_node(p, f"{path}.parts[{i}]") for i, p in enumerate(raw)))
+
+    def expand(self) -> UnionSpec:
+        return UnionSpec(tuple(p.expand() for p in self.parts))
+
+    def bbox(self) -> Box:
+        boxes = [p.bbox() for p in self.parts]
+        lo = (min(b[0][0] for b in boxes), min(b[0][1] for b in boxes))
+        hi = (max(b[1][0] for b in boxes), max(b[1][1] for b in boxes))
+        return lo, hi
+
+    def inside(self, pts: np.ndarray, closed: bool = False) -> np.ndarray:
+        return np.logical_or.reduce([p.inside(pts, closed) for p in self.parts])
+
+    def primitives(self) -> list:
+        return [prim for p in self.parts for prim in p.primitives()]
+
+    def anchors(self) -> dict[str, Anchor]:
+        out: dict[str, Anchor] = {}
+        for p in self.parts:
+            out.update(p.anchors())
+        return out
+
+
+@dataclass(frozen=True)
+class DifferenceSpec(DomainSpec):
+    base: DomainSpec
+    holes: tuple[DomainSpec, ...]
+    kind = "difference"
+
+    @classmethod
+    def parse(cls, obj: dict, path: str) -> DifferenceSpec:
         base = _parse_node(_req(obj, "base", path), f"{path}.base")
         raw = _req(obj, "holes", path)
         if not isinstance(raw, list):
             raise ParseError(f"{path}.holes: expected a list")
         holes = tuple(_parse_node(p, f"{path}.holes[{i}]") for i, p in enumerate(raw))
-        blo, bhi = _spec_bbox(base)
+        blo, bhi = base.expand().bbox()
         tol = 1e-9 * (1.0 + max(bhi[0] - blo[0], bhi[1] - blo[1]))
         for i, hole in enumerate(holes):
-            hlo, hhi = _spec_bbox(hole)
+            hlo, hhi = hole.expand().bbox()
             if (hlo[0] < blo[0] - tol or hlo[1] < blo[1] - tol
                     or hhi[0] > bhi[0] + tol or hhi[1] > bhi[1] + tol):
                 raise ConstraintError(f"{path}.holes[{i}]: hole extends outside the base")
-        return DifferenceSpec(base, holes)
-    if kind == "slits":
+        return cls(base, holes)
+
+    def expand(self) -> DifferenceSpec:
+        return DifferenceSpec(self.base.expand(), tuple(h.expand() for h in self.holes))
+
+    def bbox(self) -> Box:
+        return self.base.bbox()
+
+    def inside(self, pts: np.ndarray, closed: bool = False) -> np.ndarray:
+        """A hole's closure leaves the open set and its open set the closure."""
+        out = self.base.inside(pts, closed)
+        for hole in self.holes:
+            out &= ~hole.inside(pts, not closed)
+        return out
+
+    def primitives(self) -> list:
+        return self.base.primitives() + [prim for h in self.holes for prim in h.primitives()]
+
+    def anchors(self) -> dict[str, Anchor]:
+        return self.base.anchors()
+
+
+@dataclass(frozen=True)
+class SlitSetSpec(DomainSpec):
+    base: DomainSpec
+    segments: tuple[tuple[tuple[float, float], tuple[float, float]], ...]
+    kind = "slits"
+
+    @classmethod
+    def parse(cls, obj: dict, path: str) -> SlitSetSpec:
         base = _parse_node(_req(obj, "base", path), f"{path}.base")
         raw = _req(obj, "segments", path)
         if not isinstance(raw, list) or not raw:
@@ -169,20 +309,131 @@ def _parse_node(obj, path: str) -> DomainSpec:
             if a == b:
                 raise ConstraintError(f"{path}.segments[{i}]: zero-length slit")
             segs.append((a, b))
-        return SlitSetSpec(base, tuple(segs))
-    if kind == "foot_fingers":
+        return cls(base, tuple(segs))
+
+    def expand(self) -> SlitSetSpec:
+        return SlitSetSpec(self.base.expand(), self.segments)
+
+    def bbox(self) -> Box:
+        return self.base.bbox()
+
+    def inside(self, pts: np.ndarray, closed: bool = False) -> np.ndarray:
+        """Slits cut the open set only."""
+        out = self.base.inside(pts, closed)
+        if not closed:
+            blo, bhi = self.base.bbox()
+            tol = 1e-12 * max(1.0, bhi[0] - blo[0], bhi[1] - blo[1])
+            for a, b in self.segments:
+                out &= seg_point_distance(a, b, pts) > tol
+        return out
+
+    def primitives(self) -> list:
+        return self.base.primitives() + [RawSegment(a, b, is_slit=True)
+                                         for a, b in self.segments]
+
+    def anchors(self) -> dict[str, Anchor]:
+        out = self.base.anchors()
+        base_pieces = _raw_pieces(self.base.expand().primitives())
+        for k, (a, b) in enumerate(self.segments):
+            da = float(pieces_distance(base_pieces, np.array([a]))[0])
+            db = float(pieces_distance(base_pieces, np.array([b]))[0])
+            tip, outer = (a, b) if da >= db else (b, a)
+            dx, dy = outer[0] - tip[0], outer[1] - tip[1]
+            norm = math.hypot(dx, dy)
+            d = (dx / norm, dy / norm)
+            up = (-d[1], d[0])
+            mid = (0.5 * (tip[0] + outer[0]), 0.5 * (tip[1] + outer[1]))
+            diag = ((up[0] - d[0]) / math.sqrt(2.0), (up[1] - d[1]) / math.sqrt(2.0))
+            name = "slit" if len(self.segments) == 1 else f"slit{k + 1}"
+            out[f"{name}_tip"] = Anchor(Point2(*tip), (-d[0], -d[1]))
+            out[f"{name}_outer"] = Anchor(Point2(*outer), diag)
+            out[f"{name}_mid_top"] = Anchor(Point2(*mid), up)
+            out[f"{name}_mid_bottom"] = Anchor(Point2(*mid), (-up[0], -up[1]))
+        return out
+
+
+@dataclass(frozen=True)
+class FootFingersSpec(DomainSpec):
+    alpha: float
+    beta: float
+    m_max: int
+    r0: float = 0.125
+    decay: float = 0.5
+    kind = "foot_fingers"
+
+    @classmethod
+    def parse(cls, obj: dict, path: str) -> FootFingersSpec:
         alpha = _real(_req(obj, "alpha", path), f"{path}.alpha")
         beta = _real(_req(obj, "beta", path), f"{path}.beta")
         m_max = _int(_req(obj, "m_max", path), f"{path}.m_max")
         r0 = _real(obj.get("r0", 0.125), f"{path}.r0", positive=True)
         decay = _real(obj.get("decay", 0.5), f"{path}.decay")
         return make_foot_fingers(alpha, beta, m_max, r0, decay)
-    if kind == "comb":
+
+    def expand(self) -> UnionSpec:
+        parts: list[DomainSpec] = [DiskSpec(FOOT_CENTER, FOOT_RADIUS)]
+        for f in foot_fingers_layout(self):
+            parts.append(RectSpec((f.c - f.w / 2.0, -f.h), (f.c + f.w / 2.0, 0.0)))
+            parts.append(DiskSpec((f.c, f.toe_cy), f.r))
+        return UnionSpec(tuple(parts))
+
+    def anchors(self) -> dict[str, Anchor]:
+        cx, cy = FOOT_CENTER
+        out = {
+            "foot_center": Anchor(Point2(cx, cy)),
+            "foot_west": Anchor(Point2(cx - FOOT_RADIUS, cy), (1.0, 0.0)),
+            "foot_east": Anchor(Point2(cx + FOOT_RADIUS, cy), (-1.0, 0.0)),
+            "foot_top": Anchor(Point2(cx, cy + FOOT_RADIUS), (0.0, -1.0)),
+        }
+        for f in foot_fingers_layout(self):
+            out[f"toe_center_{f.m}"] = Anchor(Point2(f.c, f.toe_cy))
+            out[f"toe_bottom_{f.m}"] = Anchor(Point2(f.c, f.toe_cy - 0.5 * f.r))
+        return out
+
+
+@dataclass(frozen=True)
+class CombSpec(DomainSpec):
+    teeth: int = 8
+    kind = "comb"
+
+    @classmethod
+    def parse(cls, obj: dict, path: str) -> CombSpec:
         teeth = _int(obj.get("teeth", 8), f"{path}.teeth")
         if teeth < 1:
             raise ConstraintError(f"{path}.teeth: must be at least 1")
-        return CombSpec(teeth)
-    raise ParseError(f"{path}.type: unknown domain type {kind!r}")
+        return cls(teeth)
+
+    def expand(self) -> SlitSetSpec:
+        segs = tuple(((2.0 ** -j, 0.0), (2.0 ** -j, 0.5)) for j in range(1, self.teeth + 1))
+        return SlitSetSpec(RectSpec((0.0, 0.0), (1.0, 1.0)), segs)
+
+    def anchors(self) -> dict[str, Anchor]:
+        out = {
+            "comb_left_low": Anchor(Point2(0.0, 0.1), (1.0, 0.0)),
+            "comb_left_mid": Anchor(Point2(0.0, 0.25), (1.0, 0.0)),
+            "comb_upper": Anchor(Point2(0.75, 0.75)),
+        }
+        for j in range(1, self.teeth + 1):
+            out[f"tooth_tip_{j}"] = Anchor(Point2(2.0 ** -j, 0.5), (0.0, 1.0))
+        return out
+
+
+_SPEC_TYPES = {cls.kind: cls for cls in (DiskSpec, RectSpec, PolygonSpec, UnionSpec, CombSpec,
+                                         DifferenceSpec, SlitSetSpec, FootFingersSpec)}
+
+
+# ---------------------------------------------------------------------------
+# parsing and serialization
+
+
+def _parse_node(obj, path: str) -> DomainSpec:
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: expected an object")
+    kind = _req(obj, "type", path)
+    cls = _SPEC_TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ParseError(f"{path}.type: unknown domain type {kind!r}")
+    return cls.parse(obj, path)
 
 
 def parse_domain(text) -> DomainSpec:
@@ -199,26 +450,9 @@ def parse_domain(text) -> DomainSpec:
 
 def domain_to_json(spec: DomainSpec) -> dict:
     """Serialize a DomainSpec back to its JSON object form."""
-    if isinstance(spec, DiskSpec):
-        return {"type": "disk", "center": list(spec.center), "radius": spec.radius}
-    if isinstance(spec, RectSpec):
-        return {"type": "rect", "min": list(spec.lo), "max": list(spec.hi)}
-    if isinstance(spec, PolygonSpec):
-        return {"type": "polygon", "vertices": [list(v) for v in spec.vertices]}
-    if isinstance(spec, UnionSpec):
-        return {"type": "union", "parts": [domain_to_json(p) for p in spec.parts]}
-    if isinstance(spec, DifferenceSpec):
-        return {"type": "difference", "base": domain_to_json(spec.base),
-                "holes": [domain_to_json(h) for h in spec.holes]}
-    if isinstance(spec, SlitSetSpec):
-        return {"type": "slits", "base": domain_to_json(spec.base),
-                "segments": [[list(a), list(b)] for a, b in spec.segments]}
-    if isinstance(spec, FootFingersSpec):
-        return {"type": "foot_fingers", "alpha": spec.alpha, "beta": spec.beta,
-                "m_max": spec.m_max, "r0": spec.r0, "decay": spec.decay}
-    if isinstance(spec, CombSpec):
-        return {"type": "comb", "teeth": spec.teeth}
-    raise TypeError(f"not a DomainSpec: {spec!r}")
+    if not isinstance(spec, DomainSpec):
+        raise TypeError(f"not a DomainSpec: {spec!r}")
+    return spec.to_json()
 
 
 def _check_polygon(verts, path: str) -> None:
@@ -231,7 +465,6 @@ def _check_polygon(verts, path: str) -> None:
     if area2 <= 0.0:
         raise ConstraintError(f"{path}: polygon must be positively oriented and nondegenerate")
     # simplicity: no two non-adjacent edges may touch
-    from .geometry import segments_properly_cross
     for i in range(n):
         a = np.array([verts[i]])
         b = np.array([verts[(i + 1) % n]])
@@ -242,6 +475,31 @@ def _check_polygon(verts, path: str) -> None:
             d = np.asarray(verts[(j + 1) % n])
             if bool(segments_properly_cross(a, b, c, d)[0]):
                 raise ConstraintError(f"{path}: polygon is not simple (edges {i} and {j} cross)")
+
+
+def _polygon_parity(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    x0 = verts[:, 0]
+    y0 = verts[:, 1]
+    x1 = np.roll(x0, -1)
+    y1 = np.roll(y0, -1)
+    px = pts[:, 0][:, None]
+    py = pts[:, 1][:, None]
+    straddle = (y0[None, :] <= py) != (y1[None, :] <= py)
+    dy = np.where(y1 - y0 == 0.0, 1.0, y1 - y0)[None, :]
+    xint = x0[None, :] + (py - y0[None, :]) * (x1 - x0)[None, :] / dy
+    hits = straddle & (px < xint)
+    return (hits.sum(axis=1) % 2) == 1
+
+
+def _raw_pieces(prims: list) -> list:
+    """Untrimmed pieces view of raw primitives (for anchor construction)."""
+    out = []
+    for p in prims:
+        if isinstance(p, RawCircle):
+            out.append(ArcPiece(p.center[0], p.center[1], p.radius, 0.0, 2.0 * math.pi))
+        else:
+            out.append(SegPiece(p.a[0], p.a[1], p.b[0], p.b[1]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -357,230 +615,6 @@ def make_foot_fingers(alpha: float, beta: float, m_max: int,
     return spec
 
 
-def _expand(spec: DomainSpec) -> DomainSpec:
-    """Replace generator specs by their structural form."""
-    if isinstance(spec, FootFingersSpec):
-        parts: list[DomainSpec] = [DiskSpec(FOOT_CENTER, FOOT_RADIUS)]
-        for f in foot_fingers_layout(spec):
-            parts.append(RectSpec((f.c - f.w / 2.0, -f.h), (f.c + f.w / 2.0, 0.0)))
-            parts.append(DiskSpec((f.c, f.toe_cy), f.r))
-        return UnionSpec(tuple(parts))
-    if isinstance(spec, CombSpec):
-        segs = tuple(((2.0 ** -j, 0.0), (2.0 ** -j, 0.5))
-                     for j in range(1, spec.teeth + 1))
-        return SlitSetSpec(RectSpec((0.0, 0.0), (1.0, 1.0)), segs)
-    if isinstance(spec, UnionSpec):
-        return UnionSpec(tuple(_expand(p) for p in spec.parts))
-    if isinstance(spec, DifferenceSpec):
-        return DifferenceSpec(_expand(spec.base), tuple(_expand(h) for h in spec.holes))
-    if isinstance(spec, SlitSetSpec):
-        return SlitSetSpec(_expand(spec.base), spec.segments)
-    return spec
-
-
-# ---------------------------------------------------------------------------
-# membership + primitives
-
-
-def _spec_bbox(spec: DomainSpec) -> tuple[tuple[float, float], tuple[float, float]]:
-    spec = _expand(spec)
-    if isinstance(spec, DiskSpec):
-        (cx, cy), r = spec.center, spec.radius
-        return (cx - r, cy - r), (cx + r, cy + r)
-    if isinstance(spec, RectSpec):
-        return spec.lo, spec.hi
-    if isinstance(spec, PolygonSpec):
-        arr = np.asarray(spec.vertices)
-        return tuple(arr.min(axis=0)), tuple(arr.max(axis=0))
-    if isinstance(spec, UnionSpec):
-        boxes = [_spec_bbox(p) for p in spec.parts]
-        lo = (min(b[0][0] for b in boxes), min(b[0][1] for b in boxes))
-        hi = (max(b[1][0] for b in boxes), max(b[1][1] for b in boxes))
-        return lo, hi
-    if isinstance(spec, (DifferenceSpec, SlitSetSpec)):
-        return _spec_bbox(spec.base)
-    raise TypeError(f"not a DomainSpec: {spec!r}")
-
-
-def _polygon_parity(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    x0 = verts[:, 0]
-    y0 = verts[:, 1]
-    x1 = np.roll(x0, -1)
-    y1 = np.roll(y0, -1)
-    px = pts[:, 0][:, None]
-    py = pts[:, 1][:, None]
-    straddle = (y0[None, :] <= py) != (y1[None, :] <= py)
-    dy = np.where(y1 - y0 == 0.0, 1.0, y1 - y0)[None, :]
-    xint = x0[None, :] + (py - y0[None, :]) * (x1 - x0)[None, :] / dy
-    hits = straddle & (px < xint)
-    return (hits.sum(axis=1) % 2) == 1
-
-
-def _inside(spec: DomainSpec, pts: np.ndarray, closed: bool = False) -> np.ndarray:
-    """Membership of each row of pts in an expanded spec's open set, or in its
-    closure when closed.
-
-    A difference removes each hole's closure from the open set and each
-    hole's open set from the closure; slits cut the open set only.
-    """
-    below = np.less_equal if closed else np.less
-    if isinstance(spec, DiskSpec):
-        (cx, cy), r = spec.center, spec.radius
-        return below(np.hypot(pts[:, 0] - cx, pts[:, 1] - cy), r)
-    if isinstance(spec, RectSpec):
-        (x0, y0), (x1, y1) = spec.lo, spec.hi
-        x, y = pts[:, 0], pts[:, 1]
-        return below(x0, x) & below(x, x1) & below(y0, y) & below(y, y1)
-    if isinstance(spec, PolygonSpec):
-        verts = np.asarray(spec.vertices)
-        tol = 1e-12 * max(1.0, float(max(verts.max(axis=0) - verts.min(axis=0))))
-        out = np.empty(len(pts), dtype=bool)
-        for s in range(0, len(pts), 131072):
-            chunk = pts[s:s + 131072]
-            d = np.full(len(chunk), np.inf)
-            for a, b in zip(verts, np.roll(verts, -1, axis=0)):
-                np.minimum(d, seg_point_distance(a, b, chunk), out=d)
-            parity, edge = _polygon_parity(verts, chunk), d <= tol
-            out[s:s + 131072] = parity | edge if closed else parity & ~edge
-        return out
-    if isinstance(spec, UnionSpec):
-        return np.logical_or.reduce([_inside(p, pts, closed) for p in spec.parts])
-    if isinstance(spec, DifferenceSpec):
-        out = _inside(spec.base, pts, closed)
-        for hole in spec.holes:
-            out &= ~_inside(hole, pts, not closed)
-        return out
-    if isinstance(spec, SlitSetSpec):
-        out = _inside(spec.base, pts, closed)
-        if not closed:
-            blo, bhi = _spec_bbox(spec.base)
-            tol = 1e-12 * max(1.0, bhi[0] - blo[0], bhi[1] - blo[1])
-            for a, b in spec.segments:
-                out &= seg_point_distance(a, b, pts) > tol
-        return out
-    raise TypeError(f"not an expanded DomainSpec: {spec!r}")
-
-
-def _collect_primitives(spec: DomainSpec) -> list:
-    if isinstance(spec, DiskSpec):
-        return [RawCircle(spec.center, spec.radius)]
-    if isinstance(spec, RectSpec):
-        (x0, y0), (x1, y1) = spec.lo, spec.hi
-        corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-        return [RawSegment(corners[i], corners[(i + 1) % 4]) for i in range(4)]
-    if isinstance(spec, PolygonSpec):
-        n = len(spec.vertices)
-        return [RawSegment(spec.vertices[i], spec.vertices[(i + 1) % n])
-                for i in range(n)]
-    if isinstance(spec, UnionSpec):
-        return [p for part in spec.parts for p in _collect_primitives(part)]
-    if isinstance(spec, DifferenceSpec):
-        prims = _collect_primitives(spec.base)
-        for hole in spec.holes:
-            prims += _collect_primitives(hole)
-        return prims
-    if isinstance(spec, SlitSetSpec):
-        prims = _collect_primitives(spec.base)
-        prims += [RawSegment(a, b, is_slit=True) for a, b in spec.segments]
-        return prims
-    raise TypeError(f"not an expanded DomainSpec: {spec!r}")
-
-
-# ---------------------------------------------------------------------------
-# anchors
-
-
-@dataclass(frozen=True)
-class Anchor:
-    point: Point2
-    inward: tuple[float, float] | None = None  # None for interior anchors
-
-
-def _build_anchors(spec: DomainSpec) -> dict[str, Anchor]:
-    if isinstance(spec, DiskSpec):
-        (cx, cy), r = spec.center, spec.radius
-        return {
-            "center": Anchor(Point2(cx, cy)),
-            "rim_east": Anchor(Point2(cx + r, cy), (-1.0, 0.0)),
-            "rim_west": Anchor(Point2(cx - r, cy), (1.0, 0.0)),
-            "rim_north": Anchor(Point2(cx, cy + r), (0.0, -1.0)),
-            "rim_south": Anchor(Point2(cx, cy - r), (0.0, 1.0)),
-        }
-    if isinstance(spec, RectSpec):
-        (x0, y0), (x1, y1) = spec.lo, spec.hi
-        mx, my = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-        return {
-            "center": Anchor(Point2(mx, my)),
-            "edge_west": Anchor(Point2(x0, my), (1.0, 0.0)),
-            "edge_east": Anchor(Point2(x1, my), (-1.0, 0.0)),
-            "edge_south": Anchor(Point2(mx, y0), (0.0, 1.0)),
-            "edge_north": Anchor(Point2(mx, y1), (0.0, -1.0)),
-        }
-    if isinstance(spec, PolygonSpec):
-        return {}
-    if isinstance(spec, UnionSpec):
-        out: dict[str, Anchor] = {}
-        for part in spec.parts:
-            out.update(_build_anchors(part))
-        return out
-    if isinstance(spec, DifferenceSpec):
-        return _build_anchors(spec.base)
-    if isinstance(spec, SlitSetSpec):
-        out = _build_anchors(spec.base)
-        prims = _collect_primitives(_expand(spec.base))
-        base_pieces = _raw_pieces(prims)
-        for k, (a, b) in enumerate(spec.segments):
-            da = float(pieces_distance(base_pieces, np.array([a]))[0])
-            db = float(pieces_distance(base_pieces, np.array([b]))[0])
-            tip, outer = (a, b) if da >= db else (b, a)
-            dx, dy = outer[0] - tip[0], outer[1] - tip[1]
-            norm = math.hypot(dx, dy)
-            d = (dx / norm, dy / norm)
-            up = (-d[1], d[0])
-            mid = (0.5 * (tip[0] + outer[0]), 0.5 * (tip[1] + outer[1]))
-            diag = ((up[0] - d[0]) / math.sqrt(2.0), (up[1] - d[1]) / math.sqrt(2.0))
-            name = "slit" if len(spec.segments) == 1 else f"slit{k + 1}"
-            out[f"{name}_tip"] = Anchor(Point2(*tip), (-d[0], -d[1]))
-            out[f"{name}_outer"] = Anchor(Point2(*outer), diag)
-            out[f"{name}_mid_top"] = Anchor(Point2(*mid), up)
-            out[f"{name}_mid_bottom"] = Anchor(Point2(*mid), (-up[0], -up[1]))
-        return out
-    if isinstance(spec, FootFingersSpec):
-        cx, cy = FOOT_CENTER
-        out = {
-            "foot_center": Anchor(Point2(cx, cy)),
-            "foot_west": Anchor(Point2(cx - FOOT_RADIUS, cy), (1.0, 0.0)),
-            "foot_east": Anchor(Point2(cx + FOOT_RADIUS, cy), (-1.0, 0.0)),
-            "foot_top": Anchor(Point2(cx, cy + FOOT_RADIUS), (0.0, -1.0)),
-        }
-        for f in foot_fingers_layout(spec):
-            out[f"toe_center_{f.m}"] = Anchor(Point2(f.c, f.toe_cy))
-            out[f"toe_bottom_{f.m}"] = Anchor(Point2(f.c, f.toe_cy - 0.5 * f.r))
-        return out
-    if isinstance(spec, CombSpec):
-        out = {
-            "comb_left_low": Anchor(Point2(0.0, 0.1), (1.0, 0.0)),
-            "comb_left_mid": Anchor(Point2(0.0, 0.25), (1.0, 0.0)),
-            "comb_upper": Anchor(Point2(0.75, 0.75)),
-        }
-        for j in range(1, spec.teeth + 1):
-            out[f"tooth_tip_{j}"] = Anchor(Point2(2.0 ** -j, 0.5), (0.0, 1.0))
-        return out
-    raise TypeError(f"not a DomainSpec: {spec!r}")
-
-
-def _raw_pieces(prims: list) -> list:
-    """Untrimmed pieces view of raw primitives (for anchor construction)."""
-    from .curves import ArcPiece, SegPiece
-    out = []
-    for p in prims:
-        if isinstance(p, RawCircle):
-            out.append(ArcPiece(p.center[0], p.center[1], p.radius, 0.0, 2.0 * math.pi))
-        else:
-            out.append(SegPiece(p.a[0], p.a[1], p.b[0], p.b[1]))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # compiled domain
 
@@ -694,16 +728,13 @@ def compile_domain(spec, check_connectivity: bool = True) -> Domain:
     """Compile a DomainSpec (or JSON text/dict) into a queryable Domain."""
     if not isinstance(spec, DomainSpec):
         spec = parse_domain(spec)
-    expanded = _expand(spec)
-    open_fn = functools.partial(_inside, expanded)
-    bbox_lo, bbox_hi = _spec_bbox(expanded)
+    expanded = spec.expand()
+    bbox_lo, bbox_hi = expanded.bbox()
     scale = max(bbox_hi[0] - bbox_lo[0], bbox_hi[1] - bbox_lo[1])
-    prims = _collect_primitives(expanded)
-    pieces = trim_boundary(prims, open_fn, scale)
+    pieces = trim_boundary(expanded.primitives(), expanded.inside, scale)
     if not pieces:
         raise GeometryError("domain has no boundary pieces after trimming")
-    anchors = _build_anchors(spec)
-    domain = Domain(spec, pieces, open_fn, bbox_lo, bbox_hi, anchors, [])
+    domain = Domain(spec, pieces, expanded.inside, bbox_lo, bbox_hi, spec.anchors(), [])
     if check_connectivity:
         _probe_connectivity(domain)
     return domain

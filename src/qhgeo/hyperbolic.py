@@ -106,9 +106,7 @@ def path_csv_with_hyp(path: PathPolyline, n: HypNormalization = MINUS_ONE) -> st
 
 
 def _require_unit_disk(g: GridGraph) -> None:
-    spec = g.domain.spec
-    if not (isinstance(spec, DiskSpec) and spec.center == (0.0, 0.0)
-            and spec.radius == 1.0):
+    if g.domain.spec != DiskSpec((0.0, 0.0), 1.0):
         raise ConstraintError("this check needs a graph built on the unit disk")
 
 

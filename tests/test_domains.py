@@ -7,7 +7,7 @@ import pytest
 
 from qhgeo import (compile_domain, domain_to_json, make_foot_fingers,
                    parse_domain)
-from qhgeo.domains import _expand, _inside, foot_fingers_layout
+from qhgeo.domains import foot_fingers_layout
 from qhgeo.errors import (ConstraintError, DisconnectedDomainError,
                           DomainError, ParseError)
 from qhgeo.suites import load_suite_params
@@ -306,11 +306,11 @@ def test_membership_digest_unchanged(name):
 ])
 def test_membership_hand_checked(name, inside, boundary, exterior):
     d = compile_domain(_MEMBERSHIP_SPECS[name], check_connectivity=False)
-    spec = _expand(d.spec)
+    spec = d.spec.expand()
     assert d.contains_many(inside).all()
     assert not d.contains_many(boundary + exterior).any()
-    assert _inside(spec, np.array(inside + boundary), closed=True).all()
-    assert not _inside(spec, np.array(exterior), closed=True).any()
+    assert spec.inside(np.array(inside + boundary), closed=True).all()
+    assert not spec.inside(np.array(exterior), closed=True).any()
 
 
 @pytest.mark.parametrize("name", sorted(_MEMBERSHIP_SPECS))
@@ -318,5 +318,5 @@ def test_open_set_lies_in_its_closure(name):
     d = compile_domain(_MEMBERSHIP_SPECS[name], check_connectivity=False)
     pts = _membership_points(d)
     inside = d.contains_many(pts)
-    closure = _inside(_expand(d.spec), pts, closed=True)
+    closure = d.spec.expand().inside(pts, closed=True)
     assert not (inside & ~closure).any()
