@@ -455,6 +455,10 @@ def domain_to_json(spec: DomainSpec) -> dict:
     return spec.to_json()
 
 
+# ---------------------------------------------------------------------------
+# spec helpers
+
+
 def _check_polygon(verts, path: str) -> None:
     n = len(verts)
     area2 = 0.0
