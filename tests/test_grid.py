@@ -376,6 +376,11 @@ _GRAPH_DIGESTS = {
     "polygon": "90ff47c086b0c5540ad1c44be6e219140bd032bdc18a83bc252240a6f59a5aa1",
     "two_disks": "afcf5cda5059b39709b731c3a1b662050587c20107d6f590c419585f993f38ee",
     "example8": "3d79037341b05cb71942aa781531e558b7b61ddba78236cbf1edabd8339ca7fb",
+    # frozen before the edges were assembled in rank order: disk_reference's
+    # grid, a 4-neighbour grid across levels, and a grid with empty levels
+    "disk256": "e972a9d91fb03a0205279bc205fb728a71499b01ed2f3b9896ac8bc6ad024e65",
+    "disk16_four": "4b65f8216a4db77764cb070ea402017309aa745a2749e61ba51e3355e1d93b7d",
+    "disk_empty_levels": "4c8f97c1b46f9a0bb6a5407826bceabafb28ccbdbf5913610dccd86e65af066f",
 }
 
 
@@ -387,8 +392,18 @@ def test_graph_digest_unchanged(name, request):
          "split_disk": _split_disk,
          "polygon": lambda: _spec_grid(*_L_POLYGON),
          "two_disks": lambda: _spec_grid(*_TWO_DISKS),
-         "example8": lambda: request.getfixturevalue("example8_grid")}[name]()
+         "example8": lambda: request.getfixturevalue("example8_grid"),
+         "disk256": lambda: request.getfixturevalue("disk256"),
+         "disk16_four": lambda: build_grid(request.getfixturevalue("disk_domain"),
+                                           GridParams(h=1 / 16, boundary_layer=2, diag=False)),
+         "disk_empty_levels": lambda: build_grid(request.getfixturevalue("disk_domain"),
+                                                 GridParams(h=0.5, boundary_layer=3)),
+         }[name]()
     assert _graph_digest(g) == _GRAPH_DIGESTS[name]
+    if name == "disk16_four":
+        assert g.stats["nodes"] == [208, 972, 5428]
+    if name == "disk_empty_levels":
+        assert g.stats["nodes"] == [0, 0, 0, 740]
 
 
 def test_components_match_undirected_labels():
