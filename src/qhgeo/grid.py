@@ -12,7 +12,10 @@ cell becomes a node when its center lies inside with delta > cell/2.
 Neighboring leaves (same level 4/8-neighborhood, or one level apart) are
 joined when the connecting segment stays inside; each edge carries the
 trapezoid weight |u-v| * (1/delta(u) + 1/delta(v)) / 2 and, in parallel,
-its Euclidean length for the inner metric.
+its Euclidean length for the inner metric. The segment needs no crossing
+test when delta(u) + delta(v) > |u-v|: the open balls B(u, delta(u)) and
+B(v, delta(v)) lie in the domain and together cover it. attach certifies
+its stub by the same rule.
 
 Neighbours are looked up in sorted per-level keys (ix+1)*(ny+2) + (iy+1),
 each list ended by an int64-max sentinel. A cell one step off the lattice
@@ -31,11 +34,15 @@ the piece exceeds the largest such bound there. A skipped piece is never
 the nearest one, and the min over a superset of the nearest piece is the
 same float, so every delta is bit for bit the unscreened value.
 
-Both weight matrices share one CSR structure. The edge ids go through one
-COO->CSR conversion, and the qh and Euclidean weights are gathered through
-the resulting order. That is the order the two separate conversions
-produced: no (row, column) pair occurs twice, and a conversion sorts each
-row by column.
+Both weight matrices share one CSR structure. The int32 edge ids go
+through one COO->CSR conversion, and the qh and Euclidean weights are
+gathered through the resulting order. Each neighbour offset's edges take
+one rank within their rows, in column order: coarse-level neighbours
+first, in (-ax, -ay) order of the coarse cell's fine offset, then
+same-level ones in (dx, dy) order, then fine-level ones in (ax, ay) order.
+Both directions of every offset go in sorted by rank, so the conversion's
+one counting pass leaves each row sorted by column; no (row, column) pair
+occurs twice, so scipy neither sorts nor sums duplicates.
 
 Every shortest-path sweep goes through GridGraph._sweep. Each edge is
 written in both directions from the same weight arrays, so both matrices
@@ -142,7 +149,8 @@ class GridGraph:
     stats holds the build's deterministic counts: cells_evaluated and
     cells_pruned (exterior cells left unsplit) per level, nodes per level,
     edges, and the candidate edges that ran a crossing test (crossing_tests)
-    or were certified inside without one (crossing_skipped).
+    or were certified inside by their endpoints' delta balls, delta(u) +
+    delta(v) > |u-v|, without one (crossing_skipped).
     """
 
     def __init__(self, domain: Domain, params: GridParams, centers: np.ndarray,
@@ -215,7 +223,7 @@ class GridGraph:
             u = int(idxs[o])
             if d < 1e-15:
                 return u, 0.0, 0.0
-            if min(dp, self.deltas[u]) <= d:
+            if not _ball_certified(dp, self.deltas[u], d):
                 crosses = self.domain.crossings(arr[None], self.centers[u][None])
                 if bool(crosses[0]):
                     continue
@@ -494,6 +502,62 @@ def _child_tiles(tx: np.ndarray, ty: np.ndarray, parent_delta: np.ndarray,
     return Tiles(box_lo, box_lo + h, bound, 4 * np.diff(np.r_[starts, len(tx)]))
 
 
+def _ball_certified(delta_u, delta_v, length):
+    """Whether the segment [u, v] provably stays inside, with no crossing test.
+
+    The open balls B(u, delta_u) and B(v, delta_v) lie in the domain, and
+    together they cover [u, v] when delta_u + delta_v > |u - v| = length.
+    """
+    return delta_u + delta_v > length
+
+
+def _edge_weights(domain: Domain, centers: np.ndarray, deltas: np.ndarray,
+                  groups: list[tuple], stats: dict):
+    """The qh and Euclidean weight CSRs of the candidate edge groups.
+
+    Each group is (u, v, rank in row u, rank in row v), with int32 node ids.
+    An edge is kept unless its crossing test finds the segment touching the
+    boundary; edges the ball certificate covers skip the test.
+    """
+    empty = np.zeros(0, dtype=np.int32)
+    eu = np.concatenate([g[0] for g in groups] or [empty])
+    ev = np.concatenate([g[1] for g in groups] or [empty])
+    starts = np.cumsum([0] + [len(g[0]) for g in groups])
+    cx, cy = centers[:, 0], centers[:, 1]
+    elen = np.hypot(cx[ev] - cx[eu], cy[ev] - cy[eu])
+    need = np.flatnonzero(~_ball_certified(deltas[eu], deltas[ev], elen))
+    bad = need[domain.crossings(centers[eu[need]], centers[ev[need]])]
+    stats.update(edges=len(eu) - len(bad), crossing_tests=len(need),
+                 crossing_skipped=len(eu) - len(need))
+    if len(bad):
+        # rejected edges leave their groups: the ids after each one shift down
+        starts = starts - np.searchsorted(bad, starts)
+        eu, ev, elen = (np.delete(a, bad) for a in (eu, ev, elen))
+    wq = elen * 0.5 * (1.0 / deltas[eu] + 1.0 / deltas[ev])
+    layout = _rank_ordered_layout(eu, ev, starts, [g[2:] for g in groups], len(centers))
+    return tuple(sparse.csr_matrix((w[layout.data], layout.indices, layout.indptr),
+                                   shape=layout.shape) for w in (wq, elen))
+
+
+def _rank_ordered_layout(eu, ev, starts, ranks, n: int):
+    """The n x n CSR of edge ids, each edge in both directions.
+
+    Edge group g holds the ids starts[g]:starts[g + 1]; its entries take
+    rank ranks[g][0] in row eu and ranks[g][1] in row ev. The runs go in in
+    rank order, so scipy's counting pass leaves every row sorted.
+    """
+    runs = sorted(((rank, ends, slice(starts[g], starts[g + 1]))
+                   for g, pair in enumerate(ranks)
+                   for ends, rank in zip(((eu, ev), (ev, eu)), pair)),
+                  key=lambda r: r[0])
+    empty = np.zeros(0, dtype=np.int32)
+    rows = np.concatenate([ends[0][span] for _, ends, span in runs] or [empty])
+    cols = np.concatenate([ends[1][span] for _, ends, span in runs] or [empty])
+    ids = np.concatenate([np.arange(span.start, span.stop, dtype=np.int32)
+                          for _, _, span in runs] or [empty])
+    return sparse.csr_matrix((ids, (rows, cols)), shape=(n, n))
+
+
 def build_grid(domain: Domain, gp: GridParams) -> GridGraph:
     lo = np.asarray(domain.bbox_lo, dtype=float)
     hi = np.asarray(domain.bbox_hi, dtype=float)
@@ -549,7 +613,7 @@ def build_grid(domain: Domain, gp: GridParams) -> GridGraph:
     total = int(sum(counts))
     if total == 0:
         raise ResolutionError("grid admits no nodes; decrease h or refine less")
-    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    offsets = np.concatenate([[0], np.cumsum(counts)]).tolist()
     centers = np.vstack([c for c in lev_cent if len(c)] or [np.zeros((0, 2))])
     deltas = np.concatenate(lev_delta)
     levels = np.concatenate([np.full(counts[i], i, dtype=np.int8)
@@ -568,22 +632,23 @@ def build_grid(domain: Domain, gp: GridParams) -> GridGraph:
         out = []
         for j in range(n):
             hit = k[pos] == q0 + j
-            out.append((src[hit], offsets[level] + pos[hit]))
+            out.append((src[hit], (offsets[level] + pos[hit]).astype(np.int32)))
             pos += hit
         return out
 
-    edges: list[tuple[np.ndarray, np.ndarray]] = []
+    # each group: (u, v, the rank of v in row u, the rank of u in row v)
+    groups: list[tuple] = []
     for lev in range(len(counts)):
         if counts[lev] == 0:
             continue
-        src = offsets[lev] + np.arange(counts[lev], dtype=np.int64)
+        src = np.arange(offsets[lev], offsets[lev + 1], dtype=np.int32)
         k, stride = lev_keys[lev], strides[lev]
         # same level: (1, dy) is one column; (0, 1) is the next key or absent
         found = dict(zip([(1, -1), (1, 0), (1, 1)], column(lev, src, k + (stride - 1), 3)))
         up = keys[lev][1:] == k + 1
         found[(0, 1)] = (src[up], src[up] + 1)
         same = [(1, 0), (0, 1)] + ([(1, 1), (1, -1)] if gp.diag else [])
-        edges += [found[d] for d in same]
+        groups += [(*found[d], (1, *d), (1, -d[0], -d[1])) for d in same]
         if lev + 1 < len(counts) and counts[lev + 1] > 0:
             fine = strides[lev + 1]
             qx, qy = np.divmod(k, stride)
@@ -595,30 +660,10 @@ def build_grid(domain: Domain, gp: GridParams) -> GridGraph:
             side = [(2, 0), (2, 1), (-1, 0), (-1, 1),   # left/right fine neighbors
                     (0, 2), (1, 2), (0, -1), (1, -1)]   # top/bottom fine neighbors
             corner = [(2, 2), (2, -1), (-1, 2), (-1, -1)] if gp.diag else []
-            edges += [found[d] for d in side + corner]
+            groups += [(*found[a], (2, *a), (0, -a[0], -a[1])) for a in side + corner]
 
-    eu = np.concatenate([u for u, _ in edges] or [np.zeros(0, dtype=np.int64)])
-    ev = np.concatenate([v for _, v in edges] or [np.zeros(0, dtype=np.int64)])
-    seg = centers[ev] - centers[eu]
-    elen = np.hypot(seg[:, 0], seg[:, 1])
-    # certified-inside edges skip the crossing test: the segment lies in
-    # the delta-ball of one endpoint whenever min(delta) > |u-v|
-    need = np.minimum(deltas[eu], deltas[ev]) <= elen
-    ok = np.ones(len(eu), dtype=bool)
-    if need.any():
-        ok[need] = ~domain.crossings(centers[eu[need]], centers[ev[need]])
-    eu, ev, elen = eu[ok], ev[ok], elen[ok]
-    n_need = int(np.count_nonzero(need))
-    stats.update(nodes=counts, edges=len(eu), crossing_tests=n_need,
-                 crossing_skipped=len(need) - n_need)
-    wq = elen * 0.5 * (1.0 / deltas[eu] + 1.0 / deltas[ev])
-    # one COO->CSR conversion of edge ids gives the layout both weights share
-    ids = np.arange(len(eu), dtype=np.int32)
-    layout = sparse.csr_matrix((np.concatenate([ids, ids]),
-                                (np.concatenate([eu, ev]), np.concatenate([ev, eu]))),
-                               shape=(total, total))
-    csr_qh, csr_euc = (sparse.csr_matrix((w[layout.data], layout.indices, layout.indptr),
-                                         shape=(total, total)) for w in (wq, elen))
+    stats["nodes"] = counts
+    csr_qh, csr_euc = _edge_weights(domain, centers, deltas, groups, stats)
 
     # the matrix is symmetric, so its strong components are its components,
     # found without the transpose an undirected call builds

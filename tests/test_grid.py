@@ -12,6 +12,7 @@ from qhgeo.curves import ArcPiece, SegPiece, pieces_distance
 from qhgeo.errors import (DomainError, InternalInvariantError, ResolutionError,
                           UnreachableError)
 from qhgeo.geometry import as_point
+from qhgeo.grid import _ball_certified
 from qhgeo.suites import load_suite_params
 
 
@@ -149,21 +150,25 @@ def test_weights_bitwise_symmetric(grid, request):
         assert a.data.tobytes() == t.data.tobytes()
 
 
-@pytest.mark.parametrize("grid", ["disk128", "slit_grid", "comb_grid"])
-def test_weights_share_one_structure(grid, request):
-    # one CSR layout for both weights, with the index dtypes scipy picks for
-    # a COO->CSR conversion, and each entry the weight of its own edge
-    g = request.getfixturevalue(grid)
+def _assert_one_structure(g):
+    # one CSR layout for both weights, with int32 indices, each row sorted
+    # by column, and each entry the weight of its own edge
     q, e = g.csr_qh, g.csr_euc
     assert np.shares_memory(q.indices, e.indices)
     assert np.shares_memory(q.indptr, e.indptr)
     assert q.indices.dtype == q.indptr.dtype == np.int32
     rows = np.repeat(np.arange(g.node_count), np.diff(q.indptr))
+    assert ((np.diff(q.indices) > 0) | (np.diff(rows) > 0)).all()
     seg = g.centers[q.indices] - g.centers[rows]
     elen = np.hypot(seg[:, 0], seg[:, 1])
     assert e.data.tobytes() == elen.tobytes()
     wq = elen * 0.5 * (1.0 / g.deltas[rows] + 1.0 / g.deltas[q.indices])
     assert q.data.tobytes() == wq.tobytes()
+
+
+@pytest.mark.parametrize("grid", ["disk128", "slit_grid", "comb_grid"])
+def test_weights_share_one_structure(grid, request):
+    _assert_one_structure(request.getfixturevalue(grid))
 
 
 _SUITES = load_suite_params()
@@ -172,6 +177,11 @@ _TWO_DISKS = ({"type": "union",
                          {"type": "disk", "center": [0.4, 0], "radius": 0.7}]}, 1 / 32, 3)
 _L_POLYGON = ({"type": "polygon",
                "vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]}, 1 / 16, 4)
+# slits off the lattice lines: crossing tests reject edges on every level
+_OBLIQUE_SLITS = ({"type": "slits",
+                   "base": {"type": "disk", "center": [0, 0], "radius": 1},
+                   "segments": [[[-0.7, -0.3], [0.6, 0.5]], [[0.1, -0.9], [0.2, 0.1]]]},
+                  0.045, 2)
 
 
 def _spec_grid(spec, h, layers):
@@ -381,29 +391,62 @@ _GRAPH_DIGESTS = {
     "disk256": "e972a9d91fb03a0205279bc205fb728a71499b01ed2f3b9896ac8bc6ad024e65",
     "disk16_four": "4b65f8216a4db77764cb070ea402017309aa745a2749e61ba51e3355e1d93b7d",
     "disk_empty_levels": "4c8f97c1b46f9a0bb6a5407826bceabafb28ccbdbf5913610dccd86e65af066f",
+    # taken from the min(delta) certificate's build: 62 edges rejected
+    "oblique_slits": "e6c7f086e7851cedb2e9045157d36d1d5c320ad395e6ef18849faeac9ae9e6c0",
 }
+
+
+def _named_grid(name, request):
+    """A session fixture grid, or a fresh build of one of the other specs."""
+    fixtures = {"slit": "slit_grid", "comb": "comb_grid", "disk128": "disk128",
+                "example8": "example8_grid", "disk256": "disk256"}
+    if name in fixtures:
+        return request.getfixturevalue(fixtures[name])
+    return {"split_disk": _split_disk,
+            "polygon": lambda: _spec_grid(*_L_POLYGON),
+            "two_disks": lambda: _spec_grid(*_TWO_DISKS),
+            "oblique_slits": lambda: build_grid(
+                compile_domain(_OBLIQUE_SLITS[0], check_connectivity=False),
+                GridParams(h=_OBLIQUE_SLITS[1], boundary_layer=_OBLIQUE_SLITS[2])),
+            "disk16_four": lambda: build_grid(
+                request.getfixturevalue("disk_domain"), GridParams(h=1 / 16, boundary_layer=2, diag=False)),
+            "disk_empty_levels": lambda: build_grid(
+                request.getfixturevalue("disk_domain"), GridParams(h=0.5, boundary_layer=3)),
+            }[name]()
 
 
 @pytest.mark.parametrize("name", list(_GRAPH_DIGESTS))
 def test_graph_digest_unchanged(name, request):
-    g = {"slit": lambda: request.getfixturevalue("slit_grid"),
-         "comb": lambda: request.getfixturevalue("comb_grid"),
-         "disk128": lambda: request.getfixturevalue("disk128"),
-         "split_disk": _split_disk,
-         "polygon": lambda: _spec_grid(*_L_POLYGON),
-         "two_disks": lambda: _spec_grid(*_TWO_DISKS),
-         "example8": lambda: request.getfixturevalue("example8_grid"),
-         "disk256": lambda: request.getfixturevalue("disk256"),
-         "disk16_four": lambda: build_grid(request.getfixturevalue("disk_domain"),
-                                           GridParams(h=1 / 16, boundary_layer=2, diag=False)),
-         "disk_empty_levels": lambda: build_grid(request.getfixturevalue("disk_domain"),
-                                                 GridParams(h=0.5, boundary_layer=3)),
-         }[name]()
+    g = _named_grid(name, request)
     assert _graph_digest(g) == _GRAPH_DIGESTS[name]
     if name == "disk16_four":
         assert g.stats["nodes"] == [208, 972, 5428]
     if name == "disk_empty_levels":
         assert g.stats["nodes"] == [0, 0, 0, 740]
+
+
+@pytest.mark.parametrize("name", ["slit", "comb", "polygon", "two_disks", "split_disk",
+                                  "oblique_slits"])
+def test_certified_edges_stay_inside(name, request):
+    # every edge of the built graph, certified or tested, misses the boundary,
+    # and every edge the min(delta) rule certifies the half-sum rule does too
+    g = _named_grid(name, request)
+    q = g.csr_qh
+    rows = np.repeat(np.arange(g.node_count), np.diff(q.indptr))
+    upper = rows < q.indices
+    u, v = rows[upper], q.indices[upper]
+    assert len(u) == g.edge_count
+    assert not g.domain.crossings(g.centers[u], g.centers[v]).any()
+    du, dv, elen = g.deltas[u], g.deltas[v], g.csr_euc.data[upper]
+    certified = _ball_certified(du, dv, elen)
+    assert certified[np.minimum(du, dv) > elen].all()
+    st = g.stats
+    rejected = st["crossing_tests"] + st["crossing_skipped"] - st["edges"]
+    assert st["crossing_tests"] == np.count_nonzero(~certified) + rejected
+    if name == "oblique_slits":
+        # the rejected edges leave the graph and the ids after them shift
+        assert rejected == 62
+        _assert_one_structure(g)
 
 
 def test_components_match_undirected_labels():
@@ -426,13 +469,15 @@ def test_build_stats(example8_grid, slit_grid):
         "cells_pruned": [809, 282, 724, 1377, 2900, 5898, 12030, 0],
         "nodes": [1810, 2614, 6032, 13459, 28873, 60353, 123549, 492925],
         "edges": 2849556,
-        "crossing_tests": 90477,
-        "crossing_skipped": 2759079,
+        "crossing_tests": 1206,
+        "crossing_skipped": 2848350,
     }
     # pruning drops about 44% of the cells (1,945,016 -> 1,089,596)
     assert sum(g.stats["cells_evaluated"]) < 0.6 * sum(_EXAMPLE8_CELLS_UNPRUNED)
     for got, was in zip(g.stats["cells_evaluated"], _EXAMPLE8_CELLS_UNPRUNED):
         assert got <= was
+    # the half-sum certificate leaves 48 of slit's 188,949 edges to a test
+    assert (slit_grid.stats["crossing_tests"], slit_grid.stats["edges"]) == (48, 188949)
     for s in (g, slit_grid):
         st = s.stats
         assert st["nodes"] == np.bincount(s.levels).tolist()
