@@ -519,9 +519,8 @@ def _edge_weights(domain: Domain, centers: np.ndarray, deltas: np.ndarray,
     An edge is kept unless its crossing test finds the segment touching the
     boundary; edges the ball certificate covers skip the test.
     """
-    empty = np.zeros(0, dtype=np.int32)
-    eu = np.concatenate([g[0] for g in groups] or [empty])
-    ev = np.concatenate([g[1] for g in groups] or [empty])
+    eu = np.concatenate([g[0] for g in groups])
+    ev = np.concatenate([g[1] for g in groups])
     starts = np.cumsum([0] + [len(g[0]) for g in groups])
     cx, cy = centers[:, 0], centers[:, 1]
     elen = np.hypot(cx[ev] - cx[eu], cy[ev] - cy[eu])
@@ -550,11 +549,10 @@ def _rank_ordered_layout(eu, ev, starts, ranks, n: int):
                    for g, pair in enumerate(ranks)
                    for ends, rank in zip(((eu, ev), (ev, eu)), pair)),
                   key=lambda r: r[0])
-    empty = np.zeros(0, dtype=np.int32)
-    rows = np.concatenate([ends[0][span] for _, ends, span in runs] or [empty])
-    cols = np.concatenate([ends[1][span] for _, ends, span in runs] or [empty])
+    rows = np.concatenate([ends[0][span] for _, ends, span in runs])
+    cols = np.concatenate([ends[1][span] for _, ends, span in runs])
     ids = np.concatenate([np.arange(span.start, span.stop, dtype=np.int32)
-                          for _, _, span in runs] or [empty])
+                          for _, _, span in runs])
     return sparse.csr_matrix((ids, (rows, cols)), shape=(n, n))
 
 
