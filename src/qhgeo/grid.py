@@ -541,9 +541,11 @@ def _edge_weights(domain: Domain, centers: np.ndarray, deltas: np.ndarray,
 def _rank_ordered_layout(eu, ev, starts, ranks, n: int):
     """The n x n CSR of edge ids, each edge in both directions.
 
-    Edge group g holds the ids starts[g]:starts[g + 1]; its entries take
-    rank ranks[g][0] in row eu and ranks[g][1] in row ev. The runs go in in
-    rank order, so scipy's counting pass leaves every row sorted.
+    Edge group g holds the ids starts[g]:starts[g + 1]; edge i takes rank
+    ranks[g][0] in row eu[i] and ranks[g][1] in row ev[i]. The runs go in
+    in rank order, so scipy's counting pass leaves every row sorted. The
+    int32 rows, columns and ids are freed on return, before the caller
+    gathers the weights, which keeps them out of the build's peak memory.
     """
     runs = sorted(((rank, ends, slice(starts[g], starts[g + 1]))
                    for g, pair in enumerate(ranks)
