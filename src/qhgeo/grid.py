@@ -546,13 +546,18 @@ def _rank_ordered_layout(eu, ev, starts, ranks, n: int):
     in rank order, so scipy's counting pass leaves every row sorted. The
     int32 rows, columns and ids are freed on return, before the caller
     gathers the weights, which keeps them out of the build's peak memory.
+    Rows and columns fill one buffer, so they free one block that fits the
+    caller's first float64 gather. As two arrays they left two blocks whose
+    adjacency on the heap varied from run to run, and with it whether the
+    gather grew the heap: repeated builds of one grid peaked 15 MB apart.
     """
     runs = sorted(((rank, ends, slice(starts[g], starts[g + 1]))
                    for g, pair in enumerate(ranks)
                    for ends, rank in zip(((eu, ev), (ev, eu)), pair)),
                   key=lambda r: r[0])
-    rows = np.concatenate([ends[0][span] for _, ends, span in runs])
-    cols = np.concatenate([ends[1][span] for _, ends, span in runs])
+    rows, cols = np.empty((2, 2 * len(eu)), dtype=np.int32)
+    np.concatenate([ends[0][span] for _, ends, span in runs], out=rows)
+    np.concatenate([ends[1][span] for _, ends, span in runs], out=cols)
     ids = np.concatenate([np.arange(span.start, span.stop, dtype=np.int32)
                           for _, _, span in runs])
     return sparse.csr_matrix((ids, (rows, cols)), shape=(n, n))
