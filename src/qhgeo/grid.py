@@ -11,9 +11,9 @@ asked only where delta > s/2, the only cells whose answer is read. A leaf
 cell becomes a node when its center lies inside with delta > cell/2.
 Neighboring leaves (same level 4/8-neighborhood, or one level apart) are
 joined when the connecting segment stays inside; each edge carries the
-trapezoid weight |u-v| * (1/delta(u) + 1/delta(v)) / 2 and, in parallel,
-its Euclidean length for the inner metric. The segment needs no crossing
-test when delta(u) + delta(v) > |u-v|: the open balls B(u, delta(u)) and
+trapezoid weight |u-v| * (1/delta(u) + 1/delta(v)) / 2, and in the inner
+metric its Euclidean length. The segment needs no crossing test when
+delta(u) + delta(v) > |u-v|: the open balls B(u, delta(u)) and
 B(v, delta(v)) lie in the domain and together cover it. attach certifies
 its stub by the same rule.
 
@@ -34,22 +34,32 @@ the piece exceeds the largest such bound there. A skipped piece is never
 the nearest one, and the min over a superset of the nearest piece is the
 same float, so every delta is bit for bit the unscreened value.
 
-Both weight matrices share one CSR structure. The int32 edge ids go
-through one COO->CSR conversion, and the qh and Euclidean weights are
-gathered through the resulting order. Each neighbour offset's edges take
-one rank within their rows, in column order: coarse-level neighbours
-first, in (-ax, -ay) order of the coarse cell's fine offset, then
-same-level ones in (dx, dy) order, then fine-level ones in (ax, ay) order.
-Both directions of every offset go in sorted by rank, so the conversion's
-one counting pass leaves each row sorted by column; no (row, column) pair
-occurs twice, so scipy neither sorts nor sums duplicates.
+The build makes the qh weight matrix only. The int32 edge ids go through
+one COO->CSR conversion, and the qh weights are gathered through the
+resulting order. Each neighbour offset's edges take one rank within their
+rows, in column order: coarse-level neighbours first, in (-ax, -ay) order
+of the coarse cell's fine offset, then same-level ones in (dx, dy) order,
+then fine-level ones in (ax, ay) order. Both directions of every offset go
+in sorted by rank, so the conversion's one counting pass leaves each row
+sorted by column; no (row, column) pair occurs twice, so scipy neither
+sorts nor sums duplicates. The conversion is the build's peak memory, and
+each build stage is a function whose arrays die on return, so no
+intermediate outlives its last use.
 
-Every shortest-path sweep goes through GridGraph._sweep. Each edge is
-written in both directions from the same weight arrays, so both matrices
-are symmetric bit for bit and the sweep runs directed: it sees the same
-graph and skips the transpose scipy builds for an undirected call. For the
-same reason the components are the matrix's strong components, which
-scipy finds without that transpose and labels as the undirected call does.
+Only the Gehring-Hayman and ball-separation checks read the inner metric.
+Its Euclidean weight matrix is built on first use, from csr_qh's index
+arrays, which it shares, and the node centers: entry (u, v) is
+hypot(x_v - x_u, y_v - y_u). Negating a difference is exact, so both
+directions of an edge get the same float, the one the build's ball
+certificate reads. It is filled in blocks of rows, so its temporaries
+stay small.
+
+Every shortest-path sweep goes through GridGraph._sweep. Each edge has
+the same weight in both directions, so both matrices are symmetric bit for
+bit and the sweep runs directed: it sees the same graph and skips the
+transpose scipy builds for an undirected call. For the same reason the
+components are the matrix's strong components, which scipy finds without
+that transpose and labels as the undirected call does.
 A sweep may stop at a distance limit; the nodes it reaches are exact,
 because Dijkstra settles nodes in order of distance and every prefix of a
 shortest path is itself within the limit.
@@ -101,6 +111,7 @@ from .geometry import Point2, as_point
 from .paths import PathPolyline
 
 _NO_PRED = -9999  # scipy's "no predecessor" sentinel
+_LENGTH_BLOCK = 1 << 14  # rows per block of _edge_lengths
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -141,10 +152,11 @@ class Basepoint:
 class GridGraph:
     """Immutable weighted grid graph over a compiled domain.
 
-    The graph never changes after the build. Its one piece of mutable state
-    is a lazy cache of at most two hub fields, one per metric, each with its
-    predecessors, that bound the point-to-point sweeps (see the module
-    docstring).
+    The graph never changes after the build. Its mutable state is two lazy
+    caches: at most two hub fields, one per metric, each with its
+    predecessors, that bound the point-to-point sweeps, and the Euclidean
+    weight matrix csr_euc, built by the first inner-metric query (see the
+    module docstring).
 
     stats holds the build's deterministic counts: cells_evaluated and
     cells_pruned (exterior cells left unsplit) per level, nodes per level,
@@ -154,7 +166,7 @@ class GridGraph:
     """
 
     def __init__(self, domain: Domain, params: GridParams, centers: np.ndarray,
-                 deltas: np.ndarray, levels: np.ndarray, csr_qh, csr_euc,
+                 deltas: np.ndarray, levels: np.ndarray, csr_qh,
                  labels: np.ndarray, warnings: list[str], stats: dict):
         self.domain = domain
         self.params = params
@@ -162,7 +174,7 @@ class GridGraph:
         self.deltas = deltas
         self.levels = levels
         self.csr_qh = csr_qh
-        self.csr_euc = csr_euc
+        self._csr_euc = None  # built by the first read of csr_euc
         self.labels = labels
         self.warnings = warnings
         self.stats = stats
@@ -174,6 +186,13 @@ class GridGraph:
         # inner -> read-only (hub field, predecessors); None from the metric's
         # first, unbounded point-to-point sweep until the field is built
         self._hub_fields: dict[bool, tuple[np.ndarray, np.ndarray] | None] = {}
+
+    @property
+    def csr_euc(self):
+        """The Euclidean edge lengths, on csr_qh's structure, built on first use."""
+        if self._csr_euc is None:
+            self._csr_euc = _edge_lengths(self.csr_qh, self.centers)
+        return self._csr_euc
 
     @property
     def node_count(self) -> int:
@@ -513,15 +532,22 @@ def _ball_certified(delta_u, delta_v, length):
 
 def _edge_weights(domain: Domain, centers: np.ndarray, deltas: np.ndarray,
                   groups: list[tuple], stats: dict):
-    """The qh and Euclidean weight CSRs of the candidate edge groups.
+    """The qh weight CSR of the candidate edge groups.
 
     Each group is (u, v, rank in row u, rank in row v), with int32 node ids.
     An edge is kept unless its crossing test finds the segment touching the
-    boundary; edges the ball certificate covers skip the test.
+    boundary; edges the ball certificate covers skip the test. The
+    Euclidean lengths are not kept: GridGraph builds them on first use.
+    groups is emptied once its arrays are concatenated, so they are freed
+    before the edge stage's peak, the CSR conversion.
     """
-    eu = np.concatenate([g[0] for g in groups])
-    ev = np.concatenate([g[1] for g in groups])
+    ends = np.empty((2, sum(len(g[0]) for g in groups)), dtype=np.int32)
+    for i in (0, 1):
+        np.concatenate([g[i] for g in groups], out=ends[i])
     starts = np.cumsum([0] + [len(g[0]) for g in groups])
+    ranks = [g[2:] for g in groups]
+    groups.clear()
+    eu, ev = ends
     cx, cy = centers[:, 0], centers[:, 1]
     elen = np.hypot(cx[ev] - cx[eu], cy[ev] - cy[eu])
     need = np.flatnonzero(~_ball_certified(deltas[eu], deltas[ev], elen))
@@ -531,59 +557,90 @@ def _edge_weights(domain: Domain, centers: np.ndarray, deltas: np.ndarray,
     if len(bad):
         # rejected edges leave their groups: the ids after each one shift down
         starts = starts - np.searchsorted(bad, starts)
-        eu, ev, elen = (np.delete(a, bad) for a in (eu, ev, elen))
-    wq = elen * 0.5 * (1.0 / deltas[eu] + 1.0 / deltas[ev])
-    layout = _rank_ordered_layout(eu, ev, starts, [g[2:] for g in groups], len(centers))
-    return tuple(sparse.csr_matrix((w[layout.data], layout.indices, layout.indptr),
-                                   shape=layout.shape) for w in (wq, elen))
+        ends, elen = np.delete(ends, bad, axis=1), np.delete(elen, bad)
+        eu, ev = ends
+    # the trapezoid weight (|u-v| * 0.5) * (1/delta(u) + 1/delta(v)), formed
+    # in place on the lengths
+    inv = 1.0 / deltas[eu]
+    inv += 1.0 / deltas[ev]
+    wq = elen
+    wq *= 0.5
+    wq *= inv
+    del inv
+    layout = _rank_ordered_layout(ends, starts, ranks, len(centers))
+    del eu, ev, ends  # now the layout's ids: freed before the gather
+    return sparse.csr_matrix((wq[layout.data], layout.indices, layout.indptr),
+                             shape=layout.shape)
 
 
-def _rank_ordered_layout(eu, ev, starts, ranks, n: int):
+def _rank_ordered_layout(ends: np.ndarray, starts, ranks, n: int):
     """The n x n CSR of edge ids, each edge in both directions.
 
-    Edge group g holds the ids starts[g]:starts[g + 1]; edge i takes rank
-    ranks[g][0] in row eu[i] and ranks[g][1] in row ev[i]. The runs go in
-    in rank order, so scipy's counting pass leaves every row sorted. The
-    int32 rows, columns and ids are freed on return, before the caller
-    gathers the weights, which keeps them out of the build's peak memory.
-    Rows and columns fill one buffer, so they free one block that fits the
-    caller's first float64 gather. As two arrays they left two blocks whose
-    adjacency on the heap varied from run to run, and with it whether the
-    gather grew the heap: repeated builds of one grid peaked 15 MB apart.
+    ends is the (2, E) int32 buffer of edge ends. Edge group g holds the
+    ids starts[g]:starts[g + 1]; edge i takes rank ranks[g][0] in row
+    ends[0, i] and ranks[g][1] in row ends[1, i]. The runs go in in rank
+    order, so scipy's counting pass leaves every row sorted.
+
+    The conversion is the build's peak, so the ids get no array of their
+    own: once the rows and columns are read out of ends, ends takes the
+    ids, one run at a time. An ids array of its own either fit a freed heap
+    block or grew the heap, varying from run to run: 16 example8 builds
+    peaked anywhere from 248 to 274 MB. Rows and columns fill one buffer
+    for a like reason: as two arrays they freed two blocks whose adjacency
+    varied, and with it whether the caller's gather grew the heap. Both are
+    freed on return, before that gather.
     """
-    runs = sorted(((rank, ends, slice(starts[g], starts[g + 1]))
+    eu, ev = ends
+    runs = sorted(((rank, pair_ends, slice(starts[g], starts[g + 1]))
                    for g, pair in enumerate(ranks)
-                   for ends, rank in zip(((eu, ev), (ev, eu)), pair)),
+                   for pair_ends, rank in zip(((eu, ev), (ev, eu)), pair)),
                   key=lambda r: r[0])
-    rows, cols = np.empty((2, 2 * len(eu)), dtype=np.int32)
-    np.concatenate([ends[0][span] for _, ends, span in runs], out=rows)
-    np.concatenate([ends[1][span] for _, ends, span in runs], out=cols)
-    ids = np.concatenate([np.arange(span.start, span.stop, dtype=np.int32)
-                          for _, _, span in runs])
+    rows, cols = np.empty((2, ends.size), dtype=np.int32)
+    np.concatenate([e[0][span] for _, e, span in runs], out=rows)
+    np.concatenate([e[1][span] for _, e, span in runs], out=cols)
+    ids = ends.reshape(-1)
+    at = 0
+    for _, _, span in runs:
+        ids[at:at + span.stop - span.start] = np.arange(span.start, span.stop, dtype=np.int32)
+        at += span.stop - span.start
     return sparse.csr_matrix((ids, (rows, cols)), shape=(n, n))
 
 
-def build_grid(domain: Domain, gp: GridParams) -> GridGraph:
-    lo = np.asarray(domain.bbox_lo, dtype=float)
-    hi = np.asarray(domain.bbox_hi, dtype=float)
-    h = float(gp.h)
-    levels_max = int(gp.boundary_layer)
-    n0x = max(1, int(math.ceil((hi[0] - lo[0]) / h - 1e-12)))
-    n0y = max(1, int(math.ceil((hi[1] - lo[1]) / h - 1e-12)))
-    # padded keys (ix+1)*(ny+2) + (iy+1): a cell one step off the lattice
-    # has a key no node has, so neighbour queries need no bounds mask
-    strides = [(n0y << lev) + 2 for lev in range(levels_max + 1)]
+def _edge_lengths(csr: sparse.csr_matrix, centers: np.ndarray) -> sparse.csr_matrix:
+    """The Euclidean length of every entry's edge, on csr's index arrays.
 
-    # refine: split a cell whose center is within 8 cell-widths of a curve,
-    # unless it lies wholly outside. A cell with delta > 0.75 s (its
-    # half-diagonal is s/sqrt 2) is clear: wholly inside or wholly outside.
-    gx, gy = np.meshgrid(np.arange(n0x), np.arange(n0y), indexing="ij")
+    Entry (u, v) is hypot(x_v - x_u, y_v - y_u), filled in blocks of rows.
+    The gather's temporaries then stay a block's size, and the matrix adds
+    little beyond its own float64 data: on the disk at h=1/256 one
+    unblocked gather peaked 59 MB higher.
+    """
+    indptr, indices = csr.indptr, csr.indices
+    cx, cy = centers[:, 0], centers[:, 1]
+    out = np.empty(len(indices))
+    for r0 in range(0, len(indptr) - 1, _LENGTH_BLOCK):
+        ptr = indptr[r0:r0 + _LENGTH_BLOCK + 1]
+        rows = np.repeat(np.arange(r0, r0 + len(ptr) - 1), np.diff(ptr))
+        cols = indices[ptr[0]:ptr[-1]]
+        np.hypot(cx[cols] - cx[rows], cy[cols] - cy[rows], out=out[ptr[0]:ptr[-1]])
+    return sparse.csr_matrix((out, indices, indptr), shape=csr.shape)
+
+
+def _refine(domain: Domain, lo: np.ndarray, h: float, n0: tuple[int, int],
+            strides: list[int], stats: dict):
+    """Per level, the sorted keys, centers and deltas of the node cells.
+
+    A cell splits when its center is within 8 cell-widths of a curve,
+    unless it lies wholly outside. A cell with delta > 0.75 s (its
+    half-diagonal is s/sqrt 2) is clear: wholly inside or wholly outside.
+    The per-level cell arrays die on return, before the edge stage.
+    """
+    levels_max = len(strides) - 1
+    gx, gy = np.meshgrid(np.arange(n0[0]), np.arange(n0[1]), indexing="ij")
     cur_ix, cur_iy = gx.ravel(), gy.ravel()
     known = np.zeros(len(cur_ix), dtype=bool)  # inside, inherited from a clear parent
     lev_keys: list[np.ndarray] = []
     lev_cent: list[np.ndarray] = []
     lev_delta: list[np.ndarray] = []
-    stats: dict = {"cells_evaluated": [], "cells_pruned": []}
     tiles = None  # level 0 is evaluated in full
     slack = 1e-9 * domain.scale
     for lev in range(levels_max + 1):
@@ -613,16 +670,16 @@ def build_grid(domain: Domain, gp: GridParams) -> GridGraph:
         # once nothing splits, the levels below are empty and need no screen
         tiles = (_child_tiles(six >> lev, siy >> lev, dist[split], lo, h,
                               0.25 * math.sqrt(2.0) * s + slack) if len(six) else None)
+    return lev_keys, lev_cent, lev_delta
 
-    counts = [len(k) for k in lev_keys]
-    total = int(sum(counts))
-    if total == 0:
-        raise ResolutionError("grid admits no nodes; decrease h or refine less")
-    offsets = np.concatenate([[0], np.cumsum(counts)]).tolist()
-    centers = np.vstack([c for c in lev_cent if len(c)] or [np.zeros((0, 2))])
-    deltas = np.concatenate(lev_delta)
-    levels = np.concatenate([np.full(counts[i], i, dtype=np.int8)
-                             for i in range(len(counts))])
+
+def _candidate_edges(lev_keys: list[np.ndarray], strides: list[int], diag: bool):
+    """The candidate edge groups, one per neighbour offset and level.
+
+    Each group is (u, v, the rank of v in row u, the rank of u in row v),
+    with int32 node ids; a level's ids follow those of the levels above it.
+    """
+    offsets = np.cumsum([0] + [len(k) for k in lev_keys]).tolist()
     # the int64-max sentinel keeps every search position inside the list
     keys = [np.append(k, np.iinfo(np.int64).max) for k in lev_keys]
 
@@ -641,20 +698,19 @@ def build_grid(domain: Domain, gp: GridParams) -> GridGraph:
             pos += hit
         return out
 
-    # each group: (u, v, the rank of v in row u, the rank of u in row v)
     groups: list[tuple] = []
-    for lev in range(len(counts)):
-        if counts[lev] == 0:
+    for lev, k in enumerate(lev_keys):
+        if len(k) == 0:
             continue
         src = np.arange(offsets[lev], offsets[lev + 1], dtype=np.int32)
-        k, stride = lev_keys[lev], strides[lev]
+        stride = strides[lev]
         # same level: (1, dy) is one column; (0, 1) is the next key or absent
         found = dict(zip([(1, -1), (1, 0), (1, 1)], column(lev, src, k + (stride - 1), 3)))
         up = keys[lev][1:] == k + 1
         found[(0, 1)] = (src[up], src[up] + 1)
-        same = [(1, 0), (0, 1)] + ([(1, 1), (1, -1)] if gp.diag else [])
+        same = [(1, 0), (0, 1)] + ([(1, 1), (1, -1)] if diag else [])
         groups += [(*found[d], (1, *d), (1, -d[0], -d[1])) for d in same]
-        if lev + 1 < len(counts) and counts[lev + 1] > 0:
+        if lev + 1 < len(lev_keys) and len(lev_keys[lev + 1]) > 0:
             fine = strides[lev + 1]
             qx, qy = np.divmod(k, stride)
             base = (2 * qx - 1) * fine + 2 * qy - 1  # key of fine cell (2ix, 2iy)
@@ -664,11 +720,37 @@ def build_grid(domain: Domain, gp: GridParams) -> GridGraph:
                                       column(lev + 1, src, base + (ax * fine - 1), 4))}
             side = [(2, 0), (2, 1), (-1, 0), (-1, 1),   # left/right fine neighbors
                     (0, 2), (1, 2), (0, -1), (1, -1)]   # top/bottom fine neighbors
-            corner = [(2, 2), (2, -1), (-1, 2), (-1, -1)] if gp.diag else []
+            corner = [(2, 2), (2, -1), (-1, 2), (-1, -1)] if diag else []
             groups += [(*found[a], (2, *a), (0, -a[0], -a[1])) for a in side + corner]
+    return groups
 
+
+def build_grid(domain: Domain, gp: GridParams) -> GridGraph:
+    lo = np.asarray(domain.bbox_lo, dtype=float)
+    hi = np.asarray(domain.bbox_hi, dtype=float)
+    h = float(gp.h)
+    levels_max = int(gp.boundary_layer)
+    n0x = max(1, int(math.ceil((hi[0] - lo[0]) / h - 1e-12)))
+    n0y = max(1, int(math.ceil((hi[1] - lo[1]) / h - 1e-12)))
+    # padded keys (ix+1)*(ny+2) + (iy+1): a cell one step off the lattice
+    # has a key no node has, so neighbour queries need no bounds mask
+    strides = [(n0y << lev) + 2 for lev in range(levels_max + 1)]
+
+    stats: dict = {"cells_evaluated": [], "cells_pruned": []}
+    lev_keys, lev_cent, lev_delta = _refine(domain, lo, h, (n0x, n0y), strides, stats)
+    counts = [len(k) for k in lev_keys]
+    if sum(counts) == 0:
+        raise ResolutionError("grid admits no nodes; decrease h or refine less")
+    centers = np.vstack([c for c in lev_cent if len(c)])
+    deltas = np.concatenate(lev_delta)
+    levels = np.concatenate([np.full(counts[i], i, dtype=np.int8)
+                             for i in range(len(counts))])
     stats["nodes"] = counts
-    csr_qh, csr_euc = _edge_weights(domain, centers, deltas, groups, stats)
+    groups = _candidate_edges(lev_keys, strides, gp.diag)
+    # centers and deltas are copies: the per-level lists stay out of the
+    # edge stage, where the build peaks
+    del lev_keys, lev_cent, lev_delta
+    csr_qh = _edge_weights(domain, centers, deltas, groups, stats)
 
     # the matrix is symmetric, so its strong components are its components,
     # found without the transpose an undirected call builds
@@ -683,8 +765,8 @@ def build_grid(domain: Domain, gp: GridParams) -> GridGraph:
                     f"corridor of finger {f.m} (width {f.w:.3e}) is narrower than 4 "
                     f"finest cells ({finest:.3e}); distances through it may be coarse")
 
-    graph = GridGraph(domain, gp, centers, deltas, levels, csr_qh, csr_euc,
-                      labels, warnings, stats)
+    graph = GridGraph(domain, gp, centers, deltas, levels, csr_qh, labels,
+                      warnings, stats)
 
     # anchors falling in distinct components signal an under-resolved build
     anchor_comps = set()

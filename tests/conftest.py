@@ -35,9 +35,9 @@ def eq1_lower_bounds(domain, x, y):
 
 
 def fresh_graph(g):
-    """The same graph with no sweep run yet, so no hub field."""
+    """The same graph with no sweep run yet: no hub field, no Euclidean weights."""
     return GridGraph(g.domain, g.params, g.centers, g.deltas, g.levels,
-                     g.csr_qh, g.csr_euc, g.labels, g.warnings, g.stats)
+                     g.csr_qh, g.labels, g.warnings, g.stats)
 
 
 class _CountingCsgraph:

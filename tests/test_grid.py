@@ -8,6 +8,7 @@ from scipy.sparse import csgraph
 from conftest import fresh_graph, sample_interior
 from qhgeo import (GridParams, build_grid, compile_domain,
                    gromov_product, nearest_node)
+from qhgeo import grid as grid_module
 from qhgeo.curves import ArcPiece, SegPiece, pieces_distance
 from qhgeo.errors import (DomainError, InternalInvariantError, ResolutionError,
                           UnreachableError)
@@ -169,6 +170,32 @@ def _assert_one_structure(g):
 @pytest.mark.parametrize("grid", ["disk128", "slit_grid", "comb_grid"])
 def test_weights_share_one_structure(grid, request):
     _assert_one_structure(request.getfixturevalue(grid))
+
+
+def test_euclidean_weights_built_once_on_first_inner_use(disk_domain, monkeypatch):
+    # only the inner metric reads the Euclidean weights: qh work leaves them
+    # unbuilt, the first inner query builds them on csr_qh's index arrays,
+    # and later inner queries reuse that matrix
+    builds = []
+    real = grid_module._edge_lengths
+    monkeypatch.setattr(grid_module, "_edge_lengths",
+                        lambda *args: builds.append(real(*args)) or builds[-1])
+    g = build_grid(disk_domain, GridParams(h=1 / 32, boundary_layer=1))
+    x, y = (0.1, 0.2), (-0.4, 0.3)
+    g.basepoint(x)
+    g.qh_distance(x, y)
+    g.node_distance_matrix([0, g.node_count // 2, g.node_count - 1])
+    g.multi_source_field([0, 5])
+    assert builds == []
+    g.inner_distance(x, y)
+    assert len(builds) == 1
+    e = builds[0]
+    assert np.shares_memory(e.indices, g.csr_qh.indices)
+    assert np.shares_memory(e.indptr, g.csr_qh.indptr)
+    g.inner_geodesic(x, y)
+    assert len(builds) == 1 and g.csr_euc is e
+    with pytest.raises(AttributeError):
+        g.csr_euc = e
 
 
 _SUITES = load_suite_params()
