@@ -1,4 +1,5 @@
 """Cone arcs, growth fits, integral test, geodesic shape conditions."""
+import hashlib
 import json
 
 import numpy as np
@@ -8,8 +9,8 @@ from qhgeo import (GrowthFunction, PathPolyline, ball_separation_check,
                    bh_quasigeodesic_check, compare_metrics_disk,
                    cone_arc_constant, estimate_delta_four_point,
                    gehring_hayman_ratio, growth_check, integral_condition,
-                   john_center_probe, parse_growth_function, qhbc_fit,
-                   visibility_probe)
+                   john_center_probe, loop_probe, parse_growth_function,
+                   qhbc_fit, visibility_probe)
 from qhgeo.errors import FunctionError, GeometryError, SampleError
 
 SCALES = [0.25, 0.125, 0.0625, 0.03125]
@@ -237,26 +238,57 @@ def _plain(v):
     return v is None or type(v) in (str, int, float, bool)
 
 
-def test_every_report_to_dict_is_plain_json(disk64, disk_domain):
+# sha256 of json.dumps(r.to_dict()) per report, frozen from the hand-written
+# serializers: key names, key order, int/float and every value
+_REPORT_DIGESTS = {
+    "four_point": "2c011744639f060f34c986fc699fd8100cdc4a5911bdf34f78dada37668d4400",
+    "visibility": "bc6d32fe4c83b29c7c4cb3c740cb2c752a87bc73b98ad8905e6e9cab44148317",
+    "loop_slit": "fa9a80cc874f198da277d67ac7bce26a3ca52eeab0165734c723310732166c71",
+    "cone_arc": "6376a7affc3fc904c34e9abceda795d372b04e57c28a30d1a6c9be0f43ff505d",
+    "john": "b167f06b31e6e6bad620f652e85c15df076c6e6d790b1be28e1c7d18f825e2a3",
+    "qhbc": "7d2fdeaf523ad6114f9b7eb6874fe5a5faf1e5a4187b012d367cb16d895a5a00",
+    "phi_log_affine": "649be2296e286c7aae99e6e755ed3a6e2197d3af6ccb389116e2647a08fe5408",
+    "phi_table": "e6a537b19210cfdbdbb613485afef53469570f7739b421e7330de6e780577627",
+    "growth": "00d1d2f3d9e4458fcae730d2583b092edddf0f85918513936331225c1ba95fdd",
+    "integral": "59e5a9b34af19cbcc98c6fc60791c59c5b571b625a85a26bb7ea24cf46bd18b0",
+    "gehring_hayman": "70647138bffe70a28b5c0c0882fedb0f548adbd1e4667cca59c3da315b354ad0",
+    "ball_separation": "7121c10016a984b3b8592505f89ad743491b89cd35928ee610053b3afdedce37",
+    "compare": "9013ef2c6a81893cd47c5ffe7f452ff3e3598da977da7332892cfb9440ca2a51",
+    "bh": "9b56d89fd0cc5119f054fb17934aa588bfce40631f46f1f3fbbd5654cf5d2404",
+}
+
+
+def test_every_report_to_dict_is_plain_json(disk64, disk_domain, slit_grid,
+                                            slit_domain):
     g, dom = disk64, disk_domain
     rim = [dom.anchors["rim_east"], dom.anchors["rim_west"]]
+    arcs = [slit_domain.anchors["slit_mid_top"], slit_domain.anchors["slit_mid_bottom"]]
     phi = parse_growth_function({"family": "log_affine", "A": 2, "B": 1})
-    reports = [
-        estimate_delta_four_point(g, 200, seed=7),
-        visibility_probe(g, *rim, (0.0, 0.0), SCALES),
-        cone_arc_constant(dom, radial_path(dom, 0.0, 0.9, 51)),
-        john_center_probe(g, (0.0, 0.0), rim, [0.02, 0.01]),
-        qhbc_fit(g, (0.0, 0.0), 200, seed=11),
-        phi,
-        growth_check(g, (0.0, 0.0), phi, 200, seed=3),
-        integral_condition(phi, 50),
-        gehring_hayman_ratio(g, [((-0.5, 0.0), (0.5, 0.0))]),
-        ball_separation_check(g, ((-0.5, 0.7), (0.5, 0.7)), 5.0),
-        compare_metrics_disk(g, [((0.0, 0.0), (0.5, 0.0)), ((0.1, 0.2), (0.5, -0.3))]),
-        bh_quasigeodesic_check(g, [((-0.5, 0.0), (0.5, 0.0))], n_points=64),
-    ]
-    assert len({type(r) for r in reports}) == 12
-    for r in reports:
+    reports = {
+        "four_point": estimate_delta_four_point(g, 200, seed=7),
+        "visibility": visibility_probe(g, *rim, (0.0, 0.0), SCALES),
+        "loop_slit": loop_probe(slit_grid, arcs[0], (-0.5, 0.0), SCALES, arcs),
+        "cone_arc": cone_arc_constant(dom, radial_path(dom, 0.0, 0.9, 51)),
+        "john": john_center_probe(g, (0.0, 0.0), rim, [0.02, 0.01]),
+        "qhbc": qhbc_fit(g, (0.0, 0.0), 200, seed=11),
+        "phi_log_affine": phi,
+        "phi_table": parse_growth_function(
+            {"family": "table", "knots": [[1, 1], [2, 3], [4, 9], [8, 20]]}),
+        "growth": growth_check(g, (0.0, 0.0), phi, 200, seed=3),
+        "integral": integral_condition(phi, 50),
+        "gehring_hayman": gehring_hayman_ratio(
+            g, [((-0.5, 0.0), (0.5, 0.0)), ((0.1, 0.2), (0.1, 0.2))]),
+        "ball_separation": ball_separation_check(g, ((-0.5, 0.7), (0.5, 0.7)), 5.0),
+        "compare": compare_metrics_disk(
+            g, [((0.0, 0.0), (0.5, 0.0)), ((0.1, 0.2), (0.5, -0.3))]),
+        "bh": bh_quasigeodesic_check(
+            g, [((-0.5, 0.0), (0.5, 0.0)), ((0.2, 0.1), (0.2, 0.1))], n_points=64),
+    }
+    assert len({type(r) for r in reports.values()}) == 12
+    assert reports["phi_log_affine"].to_dict() == {"family": "log_affine", "A": 2, "B": 1}
+    assert reports["bh"].to_dict()["notes"] == ["skipped coincident pair (0.2, 0.1)"]
+    for name, r in reports.items():
         d = r.to_dict()
-        json.dumps(d)
-        assert _plain(d), type(r).__name__
+        text = json.dumps(d)
+        assert _plain(d), name
+        assert hashlib.sha256(text.encode()).hexdigest() == _REPORT_DIGESTS[name], name
