@@ -18,6 +18,7 @@ from .errors import (ConstraintError, GeometryError, InternalInvariantError,
                      ResolutionError, SampleError)
 from .geometry import Point2, as_point
 from .grid import Basepoint, GridGraph
+from .report import Report
 
 _CONE_COS = math.cos(math.radians(25.0))
 
@@ -33,21 +34,12 @@ def gromov_product(g: GridGraph, o, x, y) -> float:
 
 
 @dataclass(frozen=True)
-class DeltaEstimate:
+class DeltaEstimate(Report):
     method: str
     value: float
     samples: int
     seed: int
     worst_configuration: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "value": self.value,
-            "samples": self.samples,
-            "seed": self.seed,
-            "worst_configuration": [list(p) for p in self.worst_configuration],
-        }
 
 
 def _main_component(g: GridGraph) -> int:
@@ -184,37 +176,20 @@ def estimate_delta_thin_triangles(g: GridGraph, n_samples: int, seed: int,
 
 
 @dataclass
-class ProbeReport:
-    kind: str
+class ProbeReport(Report):
+    kind: str = field(metadata={"json": None})
     p: tuple
     q: tuple
-    x0: tuple
     scales: list[float]
-    endpoints: list[tuple]       # ((x_k), (y_k)) node coordinates per scale
     m: list[float]               # inf over the geodesic of k(x0, .)
     clearance: list[float]       # max delta over the geodesic
     gromov_products: list[float]
-    k_xy: list[float]            # endpoint-to-endpoint distance per scale
     verdict: str
     divergence_slope: float
-    extra: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        out = {
-            "p": list(self.p),
-            "q": list(self.q),
-            "scales": self.scales,
-            "m": self.m,
-            "clearance": self.clearance,
-            "gromov_products": self.gromov_products,
-            "verdict": self.verdict,
-            "divergence_slope": self.divergence_slope,
-            "x0": list(self.x0),
-            "endpoints": [[list(a), list(b)] for a, b in self.endpoints],
-            "k_xy": self.k_xy,
-        }
-        out.update(self.extra)
-        return out
+    x0: tuple
+    endpoints: list[tuple]       # ((x_k), (y_k)) node coordinates per scale
+    k_xy: list[float]            # endpoint-to-endpoint distance per scale
+    extra: dict = field(default_factory=dict, metadata={"json": "*"})  # a loop's arcs
 
 
 def _as_anchor(a) -> Anchor:

@@ -6,19 +6,21 @@ raw tables ride along in every report so callers can re-judge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
 from scipy.spatial import cKDTree
 
-from .analysis import _select_node
-from .domains import Anchor, Domain
+from .analysis import _as_anchor, _select_node
+from .domains import Domain
 from .errors import (ConstraintError, FunctionError, GeometryError,
                      ResolutionError, SampleError)
 from .geometry import Point2, as_point
 from .grid import GridGraph
 from .paths import PathPolyline
+from .report import Report
 
 
 # ---------------------------------------------------------------------------
@@ -26,14 +28,10 @@ from .paths import PathPolyline
 
 
 @dataclass(frozen=True)
-class ConeArcStats:
-    path: PathPolyline
+class ConeArcStats(Report):
+    path: PathPolyline = field(metadata={"json": None})
     b_hat: float
     argmax_point: Point2
-
-    def to_dict(self) -> dict:
-        return {"b_hat": self.b_hat,
-                "argmax_point": [self.argmax_point.x, self.argmax_point.y]}
 
 
 def cone_arc_constant(d: Domain, path: PathPolyline) -> ConeArcStats:
@@ -56,18 +54,13 @@ def cone_arc_constant(d: Domain, path: PathPolyline) -> ConeArcStats:
 
 
 @dataclass
-class JohnReport:
+class JohnReport(Report):
     x0: tuple
     targets: list
     scales: list[float]
     constants: list[list]        # per target, per scale (None if no node)
     per_target: list[float]      # aggregate constant per target
     verdict: str
-
-    def to_dict(self) -> dict:
-        return {"x0": list(self.x0), "targets": [list(t) for t in self.targets],
-                "scales": self.scales, "constants": self.constants,
-                "per_target": self.per_target, "verdict": self.verdict}
 
 
 def _john_constant(g: GridGraph, chain: list[int]) -> float:
@@ -94,8 +87,7 @@ def john_center_probe(g: GridGraph, x0, boundary_targets, scales) -> JohnReport:
     bp = g.basepoint(x0)
     u0 = bp.node
     label = int(g.labels[u0])
-    targets = [a if isinstance(a, Anchor) else Anchor(as_point(a))
-               for a in boundary_targets]
+    targets = [_as_anchor(a) for a in boundary_targets]
     constants: list[list] = []
     per_target: list[float] = []
     for tgt in targets:
@@ -140,20 +132,15 @@ def john_center_probe(g: GridGraph, x0, boundary_targets, scales) -> JohnReport:
 
 
 @dataclass
-class QhbcFit:
+class QhbcFit(Report):
     x0: tuple
-    samples: list
+    samples: list = field(metadata={"json": None})
     slope: float
     intercept: float
     max_residual: float
     stratum_residuals: list[float]
     verdict: str
-
-    def to_dict(self) -> dict:
-        return {"x0": list(self.x0), "slope": self.slope,
-                "intercept": self.intercept, "max_residual": self.max_residual,
-                "stratum_residuals": self.stratum_residuals,
-                "verdict": self.verdict, "n_samples": len(self.samples)}
+    n_samples: int
 
 
 def qhbc_fit(g: GridGraph, x0, n_samples: int, seed: int,
@@ -207,7 +194,7 @@ def qhbc_fit(g: GridGraph, x0, n_samples: int, seed: int,
         verdict = "inconclusive"
     samples = [(float(k[i]), float(lr[i])) for i in idx]
     return QhbcFit(bp.point.as_tuple(), samples, float(slope), float(intercept),
-                   float(np.maximum(resid, 0.0).max()), strat_res, verdict)
+                   float(np.maximum(resid, 0.0).max()), strat_res, verdict, len(idx))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +205,7 @@ _LADDER = np.geomspace(1e-3, 1e3, 60)
 
 
 @dataclass(frozen=True)
-class GrowthFunction:
+class GrowthFunction(Report):
     """phi in the growth criterion k(x0, x) <= phi(delta(x0)/delta(x)).
 
     Families: log_affine phi(t) = A log t + B; power phi(t) = A t^s;
@@ -226,7 +213,7 @@ class GrowthFunction:
     outside its knot range.
     """
     family: str
-    params: dict
+    params: dict = field(metadata={"json": "*"})
 
     def __post_init__(self):
         if self.family == "log_affine":
@@ -299,11 +286,6 @@ class GrowthFunction:
                 hi = mid
         return 0.5 * (lo + hi)
 
-    def to_dict(self) -> dict:
-        out = {"family": self.family}
-        out.update(self.params)
-        return out
-
 
 def parse_growth_function(obj: dict) -> GrowthFunction:
     if not isinstance(obj, dict) or "family" not in obj:
@@ -314,15 +296,11 @@ def parse_growth_function(obj: dict) -> GrowthFunction:
 
 
 @dataclass
-class GrowthReport:
+class GrowthReport(Report):
     verdict: str
     worst_margin: float
     worst_point: tuple
     n_samples: int
-
-    def to_dict(self) -> dict:
-        return {"verdict": self.verdict, "worst_margin": self.worst_margin,
-                "worst_point": list(self.worst_point), "n_samples": self.n_samples}
 
 
 def growth_check(g: GridGraph, x0, phi: GrowthFunction, n_samples: int,
@@ -347,16 +325,12 @@ def growth_check(g: GridGraph, x0, phi: GrowthFunction, n_samples: int,
 
 
 @dataclass
-class IntegralReport:
+class IntegralReport(Report):
     converges: bool | None
     tail_estimate: float | None
     quadrature: float
     t0: float
     t_max: float
-
-    def to_dict(self) -> dict:
-        return {"converges": self.converges, "tail_estimate": self.tail_estimate,
-                "quadrature": self.quadrature, "t0": self.t0, "t_max": self.t_max}
 
 
 def integral_condition(phi: GrowthFunction, t_max: float) -> IntegralReport:
@@ -402,45 +376,39 @@ def _quad_inverse(phi: GrowthFunction, lo: float, hi: float) -> float:
 # Gehring-Hayman and ball separation
 
 
-@dataclass
-class GhReport:
-    max_ratio: float
-    table: list
+class GhRow(NamedTuple):
+    x: tuple
+    y: tuple
+    l_geodesic: float
+    l_inner: float
+    ratio: float
 
-    def to_dict(self) -> dict:
-        return {"max_ratio": self.max_ratio,
-                "table": [{"x": list(r[0]), "y": list(r[1]), "l_geodesic": r[2],
-                           "l_inner": r[3], "ratio": r[4]} for r in self.table]}
+
+@dataclass
+class GhReport(Report):
+    max_ratio: float
+    table: list[GhRow]
 
 
 def gehring_hayman_ratio(g: GridGraph, pairs) -> GhReport:
     """Euclidean length of the qh geodesic over the inner distance, per pair."""
     table = []
-    worst = 1.0
     for x, y in pairs:
         px, py = as_point(x), as_point(y)
-        if px.x == py.x and px.y == py.y:
-            table.append((px.as_tuple(), py.as_tuple(), 0.0, 0.0, 1.0))
+        if px == py:  # a coincident pair reads 0 over 0, ratio 1
+            table.append(GhRow(px.as_tuple(), py.as_tuple(), 0.0, 0.0, 1.0))
             continue
-        lg = g.qh_geodesic(px, py).euclidean_length
-        li = g.inner_distance(px, py)
-        ratio = lg / li
-        worst = max(worst, ratio)
-        table.append((px.as_tuple(), py.as_tuple(), float(lg), float(li),
-                      float(ratio)))
-    return GhReport(float(worst), table)
+        lg, li = g.qh_geodesic(px, py).euclidean_length, float(g.inner_distance(px, py))
+        table.append(GhRow(px.as_tuple(), py.as_tuple(), lg, li, lg / li))
+    return GhReport(max([1.0] + [r.ratio for r in table]), table)
 
 
 @dataclass
-class BallSeparationReport:
+class BallSeparationReport(Report):
     holds: bool
     worst_z: tuple
     worst_ratio: float
     c: float
-
-    def to_dict(self) -> dict:
-        return {"holds": self.holds, "worst_z": list(self.worst_z),
-                "worst_ratio": self.worst_ratio, "c": self.c}
 
 
 def ball_separation_check(g: GridGraph, pair, c: float) -> BallSeparationReport:

@@ -96,6 +96,7 @@ nodes swept before it (see its docstring).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +115,10 @@ _NO_PRED = -9999  # scipy's "no predecessor" sentinel
 _LENGTH_BLOCK = 1 << 14  # rows per block of _edge_lengths
 
 
+def _real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.setflags(write=False)
@@ -127,9 +132,10 @@ class GridParams:
     diag: bool = True
 
     def __post_init__(self):
-        if not (isinstance(self.h, (int, float)) and math.isfinite(self.h) and self.h > 0):
+        if not (_real(self.h) and math.isfinite(self.h) and self.h > 0):
             raise ResolutionError("h must be a positive real")
-        if int(self.boundary_layer) != self.boundary_layer or self.boundary_layer < 0:
+        layers = self.boundary_layer
+        if not (_real(layers) and layers % 1 == 0 and layers >= 0):
             raise ResolutionError("boundary_layer must be a nonnegative integer")
 
 

@@ -8,7 +8,8 @@ bare 1/(1-|z|^2) formula, with every distance halved.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .errors import ConstraintError, DomainError
 from .geometry import as_point
 from .grid import GridGraph
 from .paths import PathPolyline
+from .report import Report
 
 HYP_CSV_HEADER = "x,y,delta,cum_qh_length,cum_euc_length,hyp_cum_length"
 
@@ -110,17 +112,22 @@ def _require_unit_disk(g: GridGraph) -> None:
         raise ConstraintError("this check needs a graph built on the unit disk")
 
 
-@dataclass
-class CompareReport:
-    rows: list
-    all_hold: bool
-    eps: float
+class CompareRow(NamedTuple):
+    p: tuple
+    q: tuple
+    k_hat: float
+    h: float
+    lower_ok: bool
+    upper_ok: bool
+    JSON = ("pair", "k_hat", "h", "lower_ok", "upper_ok")
+    pair = property(lambda row: (row.p, row.q))
 
-    def to_dict(self) -> dict:
-        return {"eps": self.eps, "all_hold": self.all_hold,
-                "rows": [{"pair": [list(p), list(q)], "k_hat": k, "h": h,
-                          "lower_ok": lo, "upper_ok": hi}
-                         for p, q, k, h, lo, hi in self.rows]}
+
+@dataclass
+class CompareReport(Report):
+    eps: float
+    all_hold: bool
+    rows: list[CompareRow]
 
 
 def compare_metrics_disk(g: GridGraph, pairs,
@@ -142,22 +149,28 @@ def compare_metrics_disk(g: GridGraph, pairs,
         lo = bool(k * (1.0 - eps) <= h)
         hi = bool(h <= 2.0 * k * (1.0 + eps))
         ok = ok and lo and hi
-        rows.append((px.as_tuple(), py.as_tuple(), float(k), float(h), lo, hi))
-    return CompareReport(rows, ok, eps)
+        rows.append(CompareRow(px.as_tuple(), py.as_tuple(), float(k), float(h),
+                               lo, hi))
+    return CompareReport(eps, ok, rows)
+
+
+class BhRow(NamedTuple):
+    p: tuple
+    q: tuple
+    qh_len_hyp_geo: float
+    k: float
+    hyp_len_qh_geo: float
+    h: float
+    JSON = ("pair", "qh_len_hyp_geo", "k", "hyp_len_qh_geo", "h")
+    pair = property(lambda row: (row.p, row.q))
 
 
 @dataclass
-class BhReport:
-    k_hat: float
-    h_hat: float
-    rows: list
-    notes: list
-
-    def to_dict(self) -> dict:
-        return {"K_hat": self.k_hat, "H_hat": self.h_hat, "notes": self.notes,
-                "rows": [{"pair": [list(p), list(q)], "qh_len_hyp_geo": a,
-                          "k": b, "hyp_len_qh_geo": c, "h": d}
-                         for p, q, a, b, c, d in self.rows]}
+class BhReport(Report):
+    k_hat: float = field(metadata={"json": "K_hat"})
+    h_hat: float = field(metadata={"json": "H_hat"})
+    notes: list[str]
+    rows: list[BhRow]
 
 
 def bh_quasigeodesic_check(g: GridGraph, pairs,
@@ -183,9 +196,9 @@ def bh_quasigeodesic_check(g: GridGraph, pairs,
         hyp_of_qh = float(hyp_polyline_length(qh_geo.points, n)[-1])
         k_hat = max(k_hat, qh_of_hyp / k)
         h_hat = max(h_hat, hyp_of_qh / h)
-        rows.append((px.as_tuple(), py.as_tuple(), qh_of_hyp, float(k),
-                     hyp_of_qh, float(h)))
-    return BhReport(float(k_hat), float(h_hat), rows, notes)
+        rows.append(BhRow(px.as_tuple(), py.as_tuple(), qh_of_hyp, float(k),
+                          hyp_of_qh, float(h)))
+    return BhReport(float(k_hat), float(h_hat), notes, rows)
 
 
 def disk_automorphism(a, theta: float):

@@ -72,13 +72,14 @@ def _run_disk_reference(params: dict, seed: int) -> dict:
                        "ok": bool(rel <= params["radial_rel_tol"])})
     pairs = [tuple(map(tuple, pr)) for pr in params["compare_pairs"]]
     cmp_rep = compare_metrics_disk(g, pairs)
-    for (p, q, k, h, lo, hi) in cmp_rep.rows:
-        checks.append({"name": f"two_sided_{p[0]:g},{p[1]:g}_{q[0]:g},{q[1]:g}",
-                       "value": k, "expected": h, "ok": bool(lo and hi)})
-        want_h = hyp_distance_disk(p, q)
-        checks.append({"name": f"hyp_closed_form_{q[0]:g},{q[1]:g}",
-                       "value": h, "expected": want_h,
-                       "ok": bool(abs(h - want_h) < 1e-12)})
+    for r in cmp_rep.rows:
+        checks.append({"name": f"two_sided_{r.p[0]:g},{r.p[1]:g}_{r.q[0]:g},{r.q[1]:g}",
+                       "value": r.k_hat, "expected": r.h,
+                       "ok": r.lower_ok and r.upper_ok})
+        want_h = hyp_distance_disk(r.p, r.q)
+        checks.append({"name": f"hyp_closed_form_{r.q[0]:g},{r.q[1]:g}",
+                       "value": r.h, "expected": want_h,
+                       "ok": bool(abs(r.h - want_h) < 1e-12)})
     return {"suite": "disk_reference",
             "all_pass": all(c["ok"] for c in checks),
             "checks": checks}

@@ -128,7 +128,7 @@ def test_criterion_04_ball_comparison(disk_domain, disk256):
         f"{np.count_nonzero(~(lo_ok & hi_ok))}/200 pairs out of envelope")
     rep = compare_metrics_disk(disk256, [((0, 0), (0.5, 0))])
     assert rep.all_hold
-    k_pin, h_pin = rep.rows[0][2], rep.rows[0][3]
+    k_pin, h_pin = rep.rows[0].k_hat, rep.rows[0].h
     assert abs(k_pin - np.log(2)) < 0.02 * np.log(2)
     assert abs(h_pin - np.log(3)) < 1e-12
     print(f"[PASS] criterion 4: hyperbolic-vs-qh envelope holds on 200 pairs; "
@@ -148,8 +148,8 @@ def test_criterion_05_quasigeodesic_envelope(disk128):
     diam = bh_quasigeodesic_check(disk128, [((-0.5, 0.0), (0.5, 0.0)),
                                             ((0.0, -0.7), (0.0, 0.7))])
     for row in diam.rows:
-        assert abs(row[2] / row[3] - 1.0) < 0.03
-        assert abs(row[4] / row[5] - 1.0) < 0.03
+        assert abs(row.qh_len_hyp_geo / row.k - 1.0) < 0.03
+        assert abs(row.hyp_len_qh_geo / row.h - 1.0) < 0.03
     print(f"[PASS] criterion 5: K_hat={rep.k_hat:.3f}, H_hat={rep.h_hat:.3f} "
           f"<= 3 over 100 pairs; diameter-aligned ratios within 3%")
 

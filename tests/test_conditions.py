@@ -207,13 +207,13 @@ def test_gehring_hayman_disk(disk128):
     rep = gehring_hayman_ratio(disk128, [((-0.5, 0.0), (0.5, 0.0)),
                                          ((0.0, 0.0), (0.0, 0.0))])
     assert abs(rep.max_ratio - 1.0) < 0.05
-    assert rep.table[1][4] == 1.0   # coincident pair convention
+    assert rep.table[1].ratio == 1.0   # coincident pair convention
 
 
 def test_gehring_hayman_slit_detour(slit_grid):
     # the geodesic rounds the slit tip far out, the inner path hugs it
     rep = gehring_hayman_ratio(slit_grid, [((0.5, 0.05), (0.5, -0.05))])
-    ratio = rep.table[0][4]
+    ratio = rep.table[0].ratio
     assert 2.0 < ratio < 3.2
 
 

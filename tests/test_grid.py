@@ -34,10 +34,12 @@ def test_resolution_error():
 
 
 def test_gridparams_validation():
-    with pytest.raises(Exception):
-        GridParams(h=0.0)
-    with pytest.raises(Exception):
-        GridParams(h=0.1, boundary_layer=-1)
+    for h in (0.0, True, "0.1", None):
+        with pytest.raises(ResolutionError):
+            GridParams(h=h)
+    for layers in (-1, 1.5, True, "x", None, float("nan")):
+        with pytest.raises(ResolutionError):
+            GridParams(h=0.1, boundary_layer=layers)
 
 
 def test_nearest_node_and_attach(disk_domain):

@@ -7,6 +7,7 @@ from qhgeo import (MINUS_FOUR, MINUS_ONE, bh_quasigeodesic_check,
                    compare_metrics_disk, disk_automorphism, hyp_density,
                    hyp_distance_disk, hyp_geodesic_disk, hyp_polyline_length,
                    path_csv_with_hyp)
+from qhgeo import gehring_hayman_ratio
 from qhgeo import grid as grid_module
 from qhgeo.errors import ConstraintError, DomainError
 
@@ -107,7 +108,7 @@ def test_compare_metrics_disk(disk128):
     rep = compare_metrics_disk(disk128, [((0, 0), (0.5, 0)), ((0, 0), (0.9, 0)),
                                          ((0.3, 0.3), (0.3, 0.3))])
     assert rep.all_hold
-    k, h = rep.rows[0][2], rep.rows[0][3]
+    k, h = rep.rows[0].k_hat, rep.rows[0].h
     assert abs(k - np.log(2)) < 0.02 * np.log(2)
     assert abs(h - np.log(3)) < 1e-12
 
@@ -126,8 +127,8 @@ def test_bh_quasigeodesic_small_set(disk128):
     assert rep.k_hat <= 3.0 and rep.h_hat <= 3.0
     assert len(rep.notes) == 1   # the coincident pair is skipped with a note
     diam = rep.rows[0]
-    assert abs(diam[2] / diam[3] - 1) < 0.03
-    assert abs(diam[4] / diam[5] - 1) < 0.03
+    assert abs(diam.qh_len_hyp_geo / diam.k - 1) < 0.03
+    assert abs(diam.hyp_len_qh_geo / diam.h - 1) < 0.03
 
 
 def test_bh_one_sweep_per_pair(disk128, monkeypatch):
@@ -154,20 +155,33 @@ def test_bh_one_sweep_per_pair(disk128, monkeypatch):
                                            ((0.9, 0), (0, 0.9)),
                                            ((0.2, 0.2), (0.2, 0.2))])
     assert Counting.calls == 2
-    assert [float.hex(r[3]) for r in rep.rows] == ["0x1.689adb4d74918p+0",
-                                                   "0x1.23fa94e596a89p+2"]
+    assert [float.hex(r.k) for r in rep.rows] == ["0x1.689adb4d74918p+0",
+                                                  "0x1.23fa94e596a89p+2"]
     # the second pair and both below sweep from the second point's node
     # (the lower id) and reverse the chain
     swapped = bh_quasigeodesic_check(disk128, [((0.5, 0.0), (-0.5, 0.0)),
                                                ((0.3, -0.4), (-0.6, 0.1))])
-    assert [float.hex(r[3]) for r in swapped.rows] == ["0x1.689adb4d74918p+0",
-                                                       "0x1.a8b45afd5e97cp+0"]
-    for p, q, _, k, _, _ in rep.rows + swapped.rows:
-        assert k == disk128.qh_distance(p, q)
+    assert [float.hex(r.k) for r in swapped.rows] == ["0x1.689adb4d74918p+0",
+                                                      "0x1.a8b45afd5e97cp+0"]
+    for row in rep.rows + swapped.rows:
+        p, q = row.pair
+        assert row.k == disk128.qh_distance(p, q)
         path = disk128.qh_distance_and_geodesic(p, q)[1]
         ends = [disk128.centers[disk128.attach(t)[0]].tolist() for t in (p, q)]
         assert path.points[[0, -1]].tolist() == [list(p), list(q)]
         assert path.points[[1, -2]].tolist() == ends
+
+
+def test_rows_keep_their_positional_order(disk128):
+    # perfbench reads rep.rows[0][2] as k_hat, so tuple(row) is a contract
+    cmp = compare_metrics_disk(disk128, [((0, 0), (0.5, 0))]).rows[0]
+    assert tuple(cmp) == (cmp.p, cmp.q, cmp.k_hat, cmp.h, cmp.lower_ok, cmp.upper_ok)
+    assert cmp[2] == cmp.k_hat and cmp.pair == ((0.0, 0.0), (0.5, 0.0))
+    bh = bh_quasigeodesic_check(disk128, [((-0.5, 0.0), (0.5, 0.0))]).rows[0]
+    assert tuple(bh) == (bh.p, bh.q, bh.qh_len_hyp_geo, bh.k, bh.hyp_len_qh_geo, bh.h)
+    gh = gehring_hayman_ratio(disk128, [((0.1, 0.2), (0.1, 0.2))]).table[0]
+    assert tuple(gh) == (gh.x, gh.y, gh.l_geodesic, gh.l_inner, gh.ratio)
+    assert gh == ((0.1, 0.2), (0.1, 0.2), 0.0, 0.0, 1.0)
 
 
 def test_csv_with_hyp_column():
