@@ -4,10 +4,9 @@ import pytest
 from scipy.spatial import cKDTree
 
 from qhgeo import (MINUS_FOUR, MINUS_ONE, bh_quasigeodesic_check,
-                   compare_metrics_disk, disk_automorphism, hyp_density,
-                   hyp_distance_disk, hyp_geodesic_disk, hyp_polyline_length,
-                   path_csv_with_hyp)
-from qhgeo import gehring_hayman_ratio
+                   compare_metrics_disk, disk_automorphism,
+                   gehring_hayman_ratio, hyp_density, hyp_distance_disk,
+                   hyp_geodesic_disk, hyp_polyline_length, path_csv_with_hyp)
 from qhgeo import grid as grid_module
 from qhgeo.errors import ConstraintError, DomainError
 
