@@ -26,13 +26,13 @@ from .errors import (AnchorError, ConstraintError, DisconnectedDomainError,
                      ResolutionError, SampleError, UnreachableError)
 from .geometry import Point2, as_point
 from .grid import (Basepoint, GridGraph, GridParams, build_grid, dist_field,
-                   inner_distance, nearest_node, qh_distance, qh_geodesic)
+                   inner_distance, qh_distance, qh_geodesic)
 from .hyperbolic import (MINUS_FOUR, MINUS_ONE, BhReport, CompareReport,
                          HypNormalization, bh_quasigeodesic_check,
                          compare_metrics_disk, disk_automorphism, hyp_density,
                          hyp_distance_disk, hyp_geodesic_disk,
                          hyp_polyline_length, path_csv_with_hyp)
-from .paths import CSV_HEADER, PathPolyline, euclidean_length, qh_length
+from .paths import CSV_HEADER, PathPolyline, qh_length
 from .suites import SUITE_NAMES, load_suite_params, run_suite
 
 __version__ = "0.1.0"
@@ -50,12 +50,12 @@ __all__ = [
     "bh_quasigeodesic_check", "build_grid", "compare_metrics_disk",
     "compile_domain", "cone_arc_constant", "disk_automorphism", "dist_field",
     "domain_to_json", "estimate_delta_four_point",
-    "estimate_delta_thin_triangles", "euclidean_length",
+    "estimate_delta_thin_triangles",
     "gehring_hayman_ratio", "gromov_product", "gromov_product_boundary_probe",
     "growth_check", "hyp_density", "hyp_distance_disk", "hyp_geodesic_disk",
     "hyp_polyline_length", "inner_distance", "integral_condition",
     "john_center_probe", "load_suite_params", "loop_probe",
-    "make_foot_fingers", "nearest_node", "parse_domain",
+    "make_foot_fingers", "parse_domain",
     "parse_growth_function", "path_csv_with_hyp", "qh_distance", "qh_geodesic",
     "qh_length", "qhbc_fit", "run_suite", "visibility_and_gromov_probes",
     "visibility_probe",

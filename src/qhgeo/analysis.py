@@ -225,10 +225,7 @@ def _select_node(g: GridGraph, pt: Point2, t: float, label: int,
     while near a smooth boundary it just picks a point at depth ~t. Ties go
     to the node nearest pt, then to the lowest index.
     """
-    ids = g._tree.query_ball_point([pt.x, pt.y], r=t)
-    if not ids:
-        return None
-    ids = np.asarray(sorted(ids), dtype=np.int64)
+    ids = g._ball(np.array([pt.x, pt.y]), t)[0]
     ids = ids[g.labels[ids] == label]
     if len(ids) == 0:
         return None

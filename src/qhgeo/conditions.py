@@ -11,7 +11,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
-from scipy.spatial import cKDTree
 
 from .analysis import _as_anchor, _select_node
 from .domains import Domain
@@ -418,9 +417,10 @@ def ball_separation_check(g: GridGraph, pair, c: float) -> BallSeparationReport:
     x, y = pair
     gamma = g.qh_geodesic(x, y)
     sigma = g.inner_geodesic(x, y)
-    tree = cKDTree(sigma.points)
-    dmin, _ = tree.query(gamma.points)
-    ratios = np.atleast_1d(dmin) / gamma.deltas
+    # each gamma vertex's distance to the nearest sigma vertex, 256 rows a block
+    dmin = np.concatenate([np.sqrt(((q[:, None] - sigma.points) ** 2).sum(axis=2).min(axis=1))
+                           for q in np.split(gamma.points, range(256, len(gamma), 256))])
+    ratios = dmin / gamma.deltas
     i = int(ratios.argmax())
     return BallSeparationReport(bool(ratios[i] <= c),
                                 tuple(map(float, gamma.points[i])),

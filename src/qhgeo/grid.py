@@ -9,13 +9,18 @@ descendants can be a node and it does not split; when its center is
 inside, its children are inside without a membership test. Membership is
 asked only where delta > s/2, the only cells whose answer is read. A leaf
 cell becomes a node when its center lies inside with delta > cell/2.
-Neighboring leaves (same level 4/8-neighborhood, or one level apart) are
+Neighboring leaves (same level 8-neighborhood, or one level apart) are
 joined when the connecting segment stays inside; each edge carries the
 trapezoid weight |u-v| * (1/delta(u) + 1/delta(v)) / 2, and in the inner
 metric its Euclidean length. The segment needs no crossing test when
 delta(u) + delta(v) > |u-v|: the open balls B(u, delta(u)) and
-B(v, delta(v)) lie in the domain and together cover it. attach certifies
-its stub by the same rule.
+B(v, delta(v)) lie in the domain and together cover it.
+
+A query point's candidates are its admissible nodes in (distance, node id)
+order: the ball rule certifies the segment to the node, or else a crossing
+test clears it. Nodes are stored in (level, ix, iy) order, so their packed
+keys are sorted, and per level the nodes near a point are one run of keys
+per column. attach returns the first candidate, which field reads use.
 
 Neighbours are looked up in sorted per-level keys (ix+1)*(ny+2) + (iy+1),
 each list ended by an int64-max sentinel. A cell one step off the lattice
@@ -64,18 +69,17 @@ A sweep may stop at a distance limit; the nodes it reaches are exact,
 because Dijkstra settles nodes in order of distance and every prefix of a
 shortest path is itself within the limit.
 
-Point-to-point sweeps (the distances, the geodesics and qh_distances) stop
-at a limit taken from a hub field: one full sweep, per metric, from the
-hub, the deepest node (argmax of delta, lowest id on a tie). The path from
-u through the hub to t bounds d(u, t) by f[u] + f[t], so a sweep from u
-cut at max_t (f[u] + f[t]) * (1 + 1e-9) reaches every target t with the
-same float it gets in a full sweep. A target left unreached raises
-InternalInvariantError. The field is built at a metric's second
-point-to-point sweep, not its first: a one-shot query would otherwise pay a
-second full sweep for a bound it never reuses. A sweep that starts at the
-hub is the hub field itself: the first one builds it, later ones read it.
-When the hub lies in another component than u, f[u] is inf, so is the
-limit, and the sweep runs in full.
+The point queries (the distances, the geodesics and qh_distances) take
+the minimum of stub + graph distance + stub over the first _CANDIDATES
+candidates u_i and v_j of the two ends. Each weight matrix has a spare row
+n in the last slots of the buffers that csr_qh and csr_euc end before. A
+query writes one end's u_i and stubs s_i there, sweeps from n, which no
+edge enters, and reads the v_j off the field. The sweep stops at a limit
+from a hub field f: one full sweep, per metric, from the hub, the deepest
+node (lowest id on a tie). min_i (s_i + f[u_i]) + max_j f[v_j] bounds
+every d(n, v_j), so a sweep cut there times (1 + 1e-9) gives the full
+sweep's floats. f is built at a metric's second point-to-point sweep, so a
+one-shot query pays for no bound; across components f and the limit are inf.
 
 The diagnostics that measure k(x0, .) from a fixed basepoint (John, QHBC,
 growth, the scale-ladder probes) take x0 as a point or as a Basepoint: x0,
@@ -102,7 +106,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
-from scipy.spatial import cKDTree
 
 from .curves import Tiles
 from .domains import Domain, FootFingersSpec, foot_fingers_layout
@@ -112,7 +115,10 @@ from .geometry import Point2, as_point
 from .paths import PathPolyline
 
 _NO_PRED = -9999  # scipy's "no predecessor" sentinel
-_LENGTH_BLOCK = 1 << 14  # rows per block of _edge_lengths
+_BLOCK = 1 << 14  # rows of _edge_lengths, or entries of the weight gather, per block
+_CANDIDATES = 4  # candidates per end that a point query pairs up
+_ATTACH_REACH = 64  # nodes a point's search covers before it may give up
+_KEY_BITS = 29  # bits per lattice coordinate in a node key
 
 
 def _real(v) -> bool:
@@ -129,7 +135,6 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 class GridParams:
     h: float
     boundary_layer: int = 0
-    diag: bool = True
 
     def __post_init__(self):
         if not (_real(self.h) and math.isfinite(self.h) and self.h > 0):
@@ -158,11 +163,15 @@ class Basepoint:
 class GridGraph:
     """Immutable weighted grid graph over a compiled domain.
 
-    The graph never changes after the build. Its mutable state is two lazy
-    caches: at most two hub fields, one per metric, each with its
+    The graph never changes after the build. Its mutable state is the
+    spare row of each weight matrix, rewritten by every point query, and
+    two lazy caches: at most two hub fields, one per metric, each with its
     predecessors, that bound the point-to-point sweeps, and the Euclidean
     weight matrix csr_euc, built by the first inner-metric query (see the
     module docstring).
+
+    weights is the qh weight matrix with its spare row; csr_qh is its n x n
+    block, on views of its arrays.
 
     stats holds the build's deterministic counts: cells_evaluated and
     cells_pruned (exterior cells left unsplit) per level, nodes per level,
@@ -172,22 +181,28 @@ class GridGraph:
     """
 
     def __init__(self, domain: Domain, params: GridParams, centers: np.ndarray,
-                 deltas: np.ndarray, levels: np.ndarray, csr_qh,
+                 deltas: np.ndarray, levels: np.ndarray, weights,
                  labels: np.ndarray, warnings: list[str], stats: dict):
         self.domain = domain
         self.params = params
         self.centers = centers
         self.deltas = deltas
         self.levels = levels
-        self.csr_qh = csr_qh
+        n, nnz = len(centers), int(weights.indptr[-2])
+        self.csr_qh = sparse.csr_matrix(
+            (weights.data[:nnz], weights.indices[:nnz], weights.indptr[:-1]), shape=(n, n))
         self._csr_euc = None  # built by the first read of csr_euc
+        # inner -> the metric's weights with the spare row
+        self._spare = {False: weights}
         self.labels = labels
         self.warnings = warnings
         self.stats = stats
-        # an unbalanced tree on uncompacted nodes builds in about half the
-        # time; queries return the same distances, and nearest_node and
-        # attach order equal ones by index
-        self._tree = cKDTree(centers, balanced_tree=False, compact_nodes=False)
+        # (level, ix, iy) packed into one key; a center is lo + (i + 0.5) * s
+        h, lev = float(params.h), levels.astype(np.int64)
+        self._lo = lo = np.asarray(domain.bbox_lo, float)
+        ij = np.rint((centers - lo) / (h / (1 << lev))[:, None] - 0.5).astype(np.int64)
+        self._keys = lev << 2 * _KEY_BITS | ij[:, 0] << _KEY_BITS | ij[:, 1]
+        self._cells = [h / (1 << k) for k in range(int(params.boundary_layer) + 1)]
         self._hub = int(np.argmax(deltas))
         # inner -> read-only (hub field, predecessors); None from the metric's
         # first, unbounded point-to-point sweep until the field is built
@@ -197,7 +212,11 @@ class GridGraph:
     def csr_euc(self):
         """The Euclidean edge lengths, on csr_qh's structure, built on first use."""
         if self._csr_euc is None:
-            self._csr_euc = _edge_lengths(self.csr_qh, self.centers)
+            spare = self._spare[False]
+            data = np.zeros(len(spare.data))
+            self._csr_euc = _edge_lengths(self.csr_qh, self.centers, data)
+            self._spare[True] = sparse.csr_matrix(
+                (data, spare.indices, spare.indptr), shape=spare.shape)
         return self._csr_euc
 
     @property
@@ -214,48 +233,62 @@ class GridGraph:
 
     # -- node lookup ------------------------------------------------------
 
-    def nearest_node(self, p) -> int:
-        """Nearest node by Euclidean distance; ties go to the lowest index."""
-        pt = as_point(p)
-        if not self.domain.contains(pt):
-            raise DomainError(f"point ({pt.x}, {pt.y}) is not inside the domain")
-        arr = np.array([pt.x, pt.y])
-        k = min(8, self.node_count)
-        d, idx = self._tree.query(arr, k=k)
-        d = np.atleast_1d(d)
-        idx = np.atleast_1d(idx)
-        tied = idx[d <= d.min() * (1.0 + 1e-12)]
-        return int(tied.min())
+    def _ball(self, p: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """The nodes within distance r of p, in id order, and their squared distances."""
+        starts, stops = [], []
+        top = (1 << _KEY_BITS) - 1
+        for lev, s in enumerate(self._cells):
+            (x0, y0), (x1, y1) = (np.floor((p - r - self._lo) / s - 0.5).clip(0, top),
+                                  np.ceil((p + r - self._lo) / s - 0.5).clip(0, top))
+            cols = (lev << 2 * _KEY_BITS) | (np.arange(x0, x1 + 1, dtype=np.int64) << _KEY_BITS)
+            starts.append(np.searchsorted(self._keys, cols | int(y0)))
+            stops.append(np.searchsorted(self._keys, cols | int(y1), side="right"))
+        start, stop = np.concatenate(starts), np.concatenate(stops)
+        count = stop - start
+        ids = np.repeat(start - (np.cumsum(count) - count), count) + np.arange(count.sum())
+        off = self.centers[ids] - p
+        d2 = off[:, 0] * off[:, 0] + off[:, 1] * off[:, 1]
+        keep = d2 <= r * r
+        return ids[keep], d2[keep]
 
-    def attach(self, p) -> tuple[int, float, float]:
-        """Attach a query point to an admissible node.
+    def _candidates(self, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """p's first _CANDIDATES admissible nodes, with their qh and Euclidean stubs.
 
-        Returns (node, qh stub weight, Euclidean stub length). The node is
-        the nearest one whose connecting segment provably stays inside
-        (certified by the delta balls or by an explicit crossing test).
+        The ball searched holds _CANDIDATES certified nodes or _ATTACH_REACH
+        nodes, so it holds every node nearer than the last candidate.
         """
         pt = as_point(p)
         if not self.domain.contains(pt):
             raise DomainError(f"point ({pt.x}, {pt.y}) is not inside the domain")
         arr = np.array([pt.x, pt.y])
         dp = float(self.domain.delta_many(arr[None])[0])
-        k = min(64, self.node_count)
-        dists, idxs = self._tree.query(arr, k=k)
-        dists = np.atleast_1d(dists)
-        idxs = np.atleast_1d(idxs)
-        for o in np.lexsort((idxs, dists)):
-            d = float(dists[o])
-            u = int(idxs[o])
-            if d < 1e-15:
-                return u, 0.0, 0.0
-            if not _ball_certified(dp, self.deltas[u], d):
-                crosses = self.domain.crossings(arr[None], self.centers[u][None])
-                if bool(crosses[0]):
-                    continue
-            stub = d * 0.5 * (1.0 / dp + 1.0 / self.deltas[u])
-            return u, stub, d
-        raise ResolutionError(
-            f"no admissible node near ({pt.x}, {pt.y}); refine the grid")
+        # about 1.5 local cells: a leaf cell of size s has delta near 8s to 16s
+        r = 1.5 * min(self._cells[0], max(self._cells[-1], dp / 8.0))
+        while True:
+            ids, d2 = self._ball(arr, r)
+            d = np.sqrt(d2)
+            sure = _ball_certified(dp, self.deltas[ids], d)
+            if (np.count_nonzero(sure) >= _CANDIDATES
+                    or len(ids) >= min(_ATTACH_REACH, self.node_count)):
+                break
+            r *= 2.0
+        test = np.flatnonzero(~sure)
+        if len(test):
+            sure[test] = ~self.domain.crossings(np.repeat(arr[None], len(test), axis=0),
+                                                self.centers[ids[test]])
+        order = np.lexsort((ids, d))
+        order = order[sure[order]][:_CANDIDATES]
+        ids, d = ids[order], d[order]
+        if len(ids) == 0:
+            raise ResolutionError(
+                f"no admissible node near ({pt.x}, {pt.y}); refine the grid")
+        d[d < 1e-15] = 0.0  # p on a node: no stub
+        return ids, d * 0.5 * (1.0 / dp + 1.0 / self.deltas[ids]), d
+
+    def attach(self, p) -> tuple[int, float, float]:
+        """(node, qh stub, Euclidean stub) of p's first candidate."""
+        nodes, stubs, lengths = self._candidates(p)
+        return int(nodes[0]), float(stubs[0]), float(lengths[0])
 
     # -- shortest paths ---------------------------------------------------
 
@@ -266,8 +299,9 @@ class GridGraph:
                                 return_predecessors=predecessors,
                                 min_only=min_only, limit=limit)
 
-    def _check_component(self, u: int, v: int) -> None:
-        if self.labels[u] != self.labels[v]:
+    def _check_component(self, us, vs) -> None:
+        """UnreachableError unless some node of us shares a component with one of vs."""
+        if not np.isin(self.labels[us], self.labels[vs]).any():
             raise UnreachableError(
                 "endpoints fall in different graph components; refine the grid "
                 "or check that the domain is connected")
@@ -284,86 +318,55 @@ class GridGraph:
                 self._metric(inner)[0], self._hub, predecessors=True))
         return hub
 
-    def _hub_limit(self, inner: bool, u: int, targets: list[int]) -> float:
-        """A bound on the distance from node u to every target node.
-
-        The path through the hub gives max_t (f[u] + f[t]), f the hub field;
-        the slack covers float rounding only. The metric's first sweep gets
-        no bound and its second builds f (unless a sweep from the hub or a
-        basepoint there built it already), so a one-shot query pays no extra
-        sweep. Across components f is inf and so is the bound.
-        """
+    def _hub_limit(self, inner: bool, nodes, stubs, targets) -> float:
+        """The hub bound from nodes, entered at stubs, to targets; inf at first."""
         if inner not in self._hub_fields:
             self._hub_fields[inner] = None
             return np.inf
         f = self._hub_field(inner)[0]
-        return float(f[u] + f[targets].max()) * (1 + 1e-9)
+        return float((stubs + f[nodes]).min() + f[targets].max()) * (1 + 1e-9)
 
-    def _reach(self, inner: bool, u: int, targets: list[int],
-               predecessors: bool = False):
-        """A sweep from node u, stopped at the hub bound to the target nodes.
+    def _reach(self, inner: bool, u, targets, predecessors: bool = False, stubs=0.0):
+        """A sweep from spare row n, joined to node(s) u by stubs, to the targets.
 
-        From the hub it is the hub field, swept once and then read.
+        Its fields are n + 1 long. It stops at the hub bound, which every
+        target that shares a component with some u must be within.
         """
-        if u == self._hub:
-            field, pred = self._hub_field(inner)
-            out = (field, pred) if predecessors else field
-        else:
-            out = self._sweep(self._metric(inner)[0], u, predecessors=predecessors,
-                              limit=self._hub_limit(inner, u, targets))
+        nodes, stubs = np.broadcast_arrays(np.atleast_1d(u), stubs)
+        self._metric(inner)  # the Euclidean spare row comes with csr_euc
+        weights = self._spare[inner]
+        fill = np.minimum(np.arange(_CANDIDATES), len(nodes) - 1)
+        weights.indices[-_CANDIDATES:] = nodes[fill]
+        weights.data[-_CANDIDATES:] = stubs[fill]
+        out = self._sweep(weights, self.node_count, predecessors=predecessors,
+                          limit=self._hub_limit(inner, nodes, stubs, targets))
         dist = out[0] if predecessors else out
-        if not np.isfinite(dist[targets]).all():
+        linked = np.isin(self.labels[targets], self.labels[nodes])
+        if not np.isfinite(dist[targets][linked]).all():
             raise InternalInvariantError("target node beyond the hub-field bound")
         return out
 
-    def _coincide(self, px, py) -> bool:
-        """Whether the two query points are equal; equal points must lie inside."""
-        if px.x != py.x or px.y != py.y:
-            return False
-        if not self.domain.contains(px):
-            raise DomainError(f"point ({px.x}, {px.y}) is not inside the domain")
-        return True
+    def _route(self, x, y, inner: bool, geodesic: bool):
+        """(distance, geodesic from x to y or None) from one sweep.
 
-    def _route(self, x, y, inner: bool, predecessors: bool):
-        """(distance, node chain from x's node to y's) from one sweep.
-
-        The sweep runs from the lower node id, so k(x, y) == k(y, x)
-        bitwise; the chain is reversed when y's node is the lower one. The
-        chain is None for coincident points, or when predecessors is False.
-        """
+        It runs from the end whose first candidate has the lower id, then the lower point."""
         px, py = as_point(x), as_point(y)
-        if self._coincide(px, py):
-            return 0.0, None
-        k = self._metric(inner)[1]
-        ax, ay = self.attach(px), self.attach(py)
-        u, v = ax[0], ay[0]
-        stubs = ax[k] + ay[k]
-        if u == v:
-            return stubs, [u]
-        self._check_component(u, v)
-        lo, hi = min(u, v), max(u, v)
-        if not predecessors:
-            return stubs + float(self._reach(inner, lo, [hi])[hi]), None
-        d, pred = self._reach(inner, lo, [hi], predecessors=True)
-        chain = self._chain(pred, lo, hi)
-        return stubs + float(d[hi]), chain if lo == u else chain[::-1]
+        if px == py and self.domain.contains(px):  # outside, _candidates raises
+            return 0.0, self._polyline(px, py, None) if geodesic else None
+        k, cx, cy = self._metric(inner)[1], self._candidates(px), self._candidates(py)
+        flip = (cy[0][0], py.x, py.y) < (cx[0][0], px.x, px.y)
+        src, dst = (cy, cx) if flip else (cx, cy)
+        self._check_component(src[0], dst[0])
+        out = self._reach(inner, src[0], dst[0], geodesic, src[k])
+        totals = (out[0] if geodesic else out)[dst[0]] + dst[k]
+        j = int(np.argmin(totals))
+        if not geodesic:
+            return float(totals[j]), None
+        chain = self._chain(out[1], self.node_count, int(dst[0][j]))[1:]
+        return float(totals[j]), self._polyline(px, py, chain[::-1] if flip else chain)
 
     def _distance(self, x, y, inner: bool) -> float:
-        return self._route(x, y, inner, predecessors=False)[0]
-
-    def _geodesic(self, x, y, inner: bool) -> PathPolyline:
-        px, py = as_point(x), as_point(y)
-        if self._coincide(px, py):
-            return self._polyline(px, py, None)
-        u, _, _ = self.attach(px)
-        v, _, _ = self.attach(py)
-        if u == v:
-            chain = [u]
-        else:
-            self._check_component(u, v)
-            _, pred = self._reach(inner, u, [v], predecessors=True)
-            chain = self._chain(pred, u, v)
-        return self._polyline(px, py, chain)
+        return self._route(x, y, inner, geodesic=False)[0]
 
     def _polyline(self, px, py, chain) -> PathPolyline:
         """x, the chain's node centers, then y; x alone when chain is None."""
@@ -389,51 +392,38 @@ class GridGraph:
         return self._distance(x, y, inner=False)
 
     def qh_geodesic(self, x, y) -> PathPolyline:
-        return self._geodesic(x, y, inner=False)
+        return self._route(x, y, inner=False, geodesic=True)[1]
 
     def inner_distance(self, x, y) -> float:
         return self._distance(x, y, inner=True)
 
     def inner_geodesic(self, x, y) -> PathPolyline:
-        return self._geodesic(x, y, inner=True)
+        return self._route(x, y, inner=True, geodesic=True)[1]
 
     def qh_distance_and_geodesic(self, x, y) -> tuple[float, PathPolyline]:
-        """qh_distance(x, y) and a geodesic, both from one predecessor sweep.
-
-        The distance is bitwise qh_distance(x, y). The sweep runs from the
-        lower node id, so where shortest paths tie the geodesic may differ
-        from qh_geodesic(x, y), which sweeps from x's node.
-        """
-        k, chain = self._route(x, y, inner=False, predecessors=True)
-        return k, self._polyline(as_point(x), as_point(y), chain)
+        """qh_distance(x, y) and qh_geodesic(x, y), both from one predecessor sweep."""
+        return self._route(x, y, inner=False, geodesic=True)
 
     def qh_distances(self, sources, targets) -> np.ndarray:
         """k(x, y) for every source x (rows) and target y (columns).
 
         One sweep per source instead of one per pair. Each entry follows
-        qh_distance: 0 for coincident points, the two stubs for a shared
-        node, UnreachableError across components. It sweeps from the source
-        rather than the lower node id, so an entry may differ from
-        qh_distance by float rounding.
+        qh_distance, but the sweep runs from the source rather than from the
+        lower end, so an entry may differ from qh_distance by float rounding.
         """
         tgts = [as_point(t) for t in targets]
-        t_att = [self.attach(t) for t in tgts]
-        out = np.empty((len(sources), len(tgts)))
+        t_cand = [self._candidates(t) for t in tgts]
+        out = np.zeros((len(sources), len(tgts)))
         for i, s in enumerate(sources):
             ps = as_point(s)
-            u, stub_u, _ = self.attach(ps)
-            cols = []  # targets on another node than the source's
-            for j, (pt, (v, stub_v, _)) in enumerate(zip(tgts, t_att)):
-                if ps.x == pt.x and ps.y == pt.y:
-                    out[i, j] = 0.0
-                    continue
-                out[i, j] = stub_u + stub_v
-                if u != v:
-                    self._check_component(u, v)
-                    cols.append(j)
+            nodes, stubs, _ = self._candidates(ps)
+            cols = [j for j, pt in enumerate(tgts) if ps.x != pt.x or ps.y != pt.y]
+            for j in cols:
+                self._check_component(nodes, t_cand[j][0])
             if cols:
-                nodes = [t_att[j][0] for j in cols]
-                out[i, cols] += self._reach(False, u, nodes)[nodes]
+                dist = self._reach(False, nodes, np.concatenate([t_cand[j][0] for j in cols]),
+                                   stubs=stubs)
+                out[i, cols] = [(dist[t_cand[j][0]] + t_cand[j][1]).min() for j in cols]
         return out
 
     def basepoint(self, x0) -> Basepoint:
@@ -538,7 +528,7 @@ def _ball_certified(delta_u, delta_v, length):
 
 def _edge_weights(domain: Domain, centers: np.ndarray, deltas: np.ndarray,
                   groups: list[tuple], stats: dict):
-    """The qh weight CSR of the candidate edge groups.
+    """The qh weight CSR of the candidate edge groups, with its spare row.
 
     Each group is (u, v, rank in row u, rank in row v), with int32 node ids.
     An edge is kept unless its crossing test finds the segment touching the
@@ -546,6 +536,9 @@ def _edge_weights(domain: Domain, centers: np.ndarray, deltas: np.ndarray,
     Euclidean lengths are not kept: GridGraph builds them on first use.
     groups is emptied once its arrays are concatenated, so they are freed
     before the edge stage's peak, the CSR conversion.
+
+    Its last row n fills the last _CANDIDATES slots of its buffers. The
+    indices are copied once the ids and weights are freed, below the peak.
     """
     ends = np.empty((2, sum(len(g[0]) for g in groups)), dtype=np.int32)
     for i in (0, 1):
@@ -573,10 +566,19 @@ def _edge_weights(domain: Domain, centers: np.ndarray, deltas: np.ndarray,
     wq *= 0.5
     wq *= inv
     del inv
-    layout = _rank_ordered_layout(ends, starts, ranks, len(centers))
+    n = len(centers)
+    layout = _rank_ordered_layout(ends, starts, ranks, n)
     del eu, ev, ends  # now the layout's ids: freed before the gather
-    return sparse.csr_matrix((wq[layout.data], layout.indices, layout.indptr),
-                             shape=layout.shape)
+    ids, indices, indptr = layout.data, layout.indices, layout.indptr
+    del layout
+    data = np.zeros(len(ids) + _CANDIDATES)
+    for a in range(0, len(ids), _BLOCK):  # at once, np.take makes the ids intp
+        part = ids[a:a + _BLOCK]
+        np.take(wq, part, out=data[a:a + len(part)], mode="clip")  # "raise" buffers out
+    del wq, elen, ids
+    indptr = np.append(indptr, np.int32(len(data)))
+    indices = np.append(indices, np.zeros(_CANDIDATES, dtype=np.int32))
+    return sparse.csr_matrix((data, indices, indptr), shape=(n + 1, n + 1))
 
 
 def _rank_ordered_layout(ends: np.ndarray, starts, ranks, n: int):
@@ -612,19 +614,21 @@ def _rank_ordered_layout(ends: np.ndarray, starts, ranks, n: int):
     return sparse.csr_matrix((ids, (rows, cols)), shape=(n, n))
 
 
-def _edge_lengths(csr: sparse.csr_matrix, centers: np.ndarray) -> sparse.csr_matrix:
+def _edge_lengths(csr: sparse.csr_matrix, centers: np.ndarray,
+                  out: np.ndarray) -> sparse.csr_matrix:
     """The Euclidean length of every entry's edge, on csr's index arrays.
 
-    Entry (u, v) is hypot(x_v - x_u, y_v - y_u), filled in blocks of rows.
+    Entry (u, v) is hypot(x_v - x_u, y_v - y_u), filled in blocks of rows
+    into the head of out, a buffer at least csr.nnz long.
     The gather's temporaries then stay a block's size, and the matrix adds
     little beyond its own float64 data: on the disk at h=1/256 one
     unblocked gather peaked 59 MB higher.
     """
     indptr, indices = csr.indptr, csr.indices
     cx, cy = centers[:, 0], centers[:, 1]
-    out = np.empty(len(indices))
-    for r0 in range(0, len(indptr) - 1, _LENGTH_BLOCK):
-        ptr = indptr[r0:r0 + _LENGTH_BLOCK + 1]
+    out = out[:len(indices)]
+    for r0 in range(0, len(indptr) - 1, _BLOCK):
+        ptr = indptr[r0:r0 + _BLOCK + 1]
         rows = np.repeat(np.arange(r0, r0 + len(ptr) - 1), np.diff(ptr))
         cols = indices[ptr[0]:ptr[-1]]
         np.hypot(cx[cols] - cx[rows], cy[cols] - cy[rows], out=out[ptr[0]:ptr[-1]])
@@ -679,7 +683,13 @@ def _refine(domain: Domain, lo: np.ndarray, h: float, n0: tuple[int, int],
     return lev_keys, lev_cent, lev_delta
 
 
-def _candidate_edges(lev_keys: list[np.ndarray], strides: list[int], diag: bool):
+# the 8-neighbour stencil: same-level offsets, and fine-level ones from (2ix, 2iy)
+_SAME_LEVEL = [(1, 0), (0, 1), (1, 1), (1, -1)]
+_FINE_LEVEL = [(2, 0), (2, 1), (-1, 0), (-1, 1), (0, 2), (1, 2), (0, -1), (1, -1),  # sides
+               (2, 2), (2, -1), (-1, 2), (-1, -1)]  # corners
+
+
+def _candidate_edges(lev_keys: list[np.ndarray], strides: list[int]):
     """The candidate edge groups, one per neighbour offset and level.
 
     Each group is (u, v, the rank of v in row u, the rank of u in row v),
@@ -714,8 +724,7 @@ def _candidate_edges(lev_keys: list[np.ndarray], strides: list[int], diag: bool)
         found = dict(zip([(1, -1), (1, 0), (1, 1)], column(lev, src, k + (stride - 1), 3)))
         up = keys[lev][1:] == k + 1
         found[(0, 1)] = (src[up], src[up] + 1)
-        same = [(1, 0), (0, 1)] + ([(1, 1), (1, -1)] if diag else [])
-        groups += [(*found[d], (1, *d), (1, -d[0], -d[1])) for d in same]
+        groups += [(*found[d], (1, *d), (1, -d[0], -d[1])) for d in _SAME_LEVEL]
         if lev + 1 < len(lev_keys) and len(lev_keys[lev + 1]) > 0:
             fine = strides[lev + 1]
             qx, qy = np.divmod(k, stride)
@@ -724,10 +733,7 @@ def _candidate_edges(lev_keys: list[np.ndarray], strides: list[int], diag: bool)
             found = {(ax, ay): e for ax in (-1, 0, 1, 2)
                      for ay, e in zip((-1, 0, 1, 2),
                                       column(lev + 1, src, base + (ax * fine - 1), 4))}
-            side = [(2, 0), (2, 1), (-1, 0), (-1, 1),   # left/right fine neighbors
-                    (0, 2), (1, 2), (0, -1), (1, -1)]   # top/bottom fine neighbors
-            corner = [(2, 2), (2, -1), (-1, 2), (-1, -1)] if diag else []
-            groups += [(*found[a], (2, *a), (0, -a[0], -a[1])) for a in side + corner]
+            groups += [(*found[a], (2, *a), (0, -a[0], -a[1])) for a in _FINE_LEVEL]
     return groups
 
 
@@ -752,15 +758,16 @@ def build_grid(domain: Domain, gp: GridParams) -> GridGraph:
     levels = np.concatenate([np.full(counts[i], i, dtype=np.int8)
                              for i in range(len(counts))])
     stats["nodes"] = counts
-    groups = _candidate_edges(lev_keys, strides, gp.diag)
+    groups = _candidate_edges(lev_keys, strides)
     # centers and deltas are copies: the per-level lists stay out of the
     # edge stage, where the build peaks
     del lev_keys, lev_cent, lev_delta
-    csr_qh = _edge_weights(domain, centers, deltas, groups, stats)
+    weights = _edge_weights(domain, centers, deltas, groups, stats)
 
     # the matrix is symmetric, so its strong components are its components,
-    # found without the transpose an undirected call builds
-    _, labels = csgraph.connected_components(csr_qh, directed=True, connection="strong")
+    # found without the transpose an undirected call builds; the spare row's
+    # node n, which no edge enters, is numbered last
+    labels = csgraph.connected_components(weights, directed=True, connection="strong")[1][:-1]
 
     warnings: list[str] = []
     finest = h / (1 << levels_max)
@@ -771,7 +778,7 @@ def build_grid(domain: Domain, gp: GridParams) -> GridGraph:
                     f"corridor of finger {f.m} (width {f.w:.3e}) is narrower than 4 "
                     f"finest cells ({finest:.3e}); distances through it may be coarse")
 
-    graph = GridGraph(domain, gp, centers, deltas, levels, csr_qh, labels,
+    graph = GridGraph(domain, gp, centers, deltas, levels, weights, labels,
                       warnings, stats)
 
     # anchors falling in distinct components signal an under-resolved build
@@ -789,10 +796,6 @@ def build_grid(domain: Domain, gp: GridParams) -> GridGraph:
             f"declared anchors span {len(anchor_comps)} graph components; "
             f"the grid may be too coarse for the narrow features")
     return graph
-
-
-def nearest_node(g: GridGraph, p) -> int:
-    return g.nearest_node(p)
 
 
 def qh_distance(g: GridGraph, x, y) -> float:

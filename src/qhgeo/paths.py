@@ -71,10 +71,6 @@ class PathPolyline:
         return "\n".join(lines) + "\n"
 
 
-def euclidean_length(path: PathPolyline) -> float:
-    return path.euclidean_length
-
-
 def qh_length(domain, path: PathPolyline, rel_tol: float = 1e-6) -> float:
     """Quasihyperbolic length of a polyline by adaptive midpoint quadrature.
 

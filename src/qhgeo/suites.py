@@ -60,7 +60,7 @@ def _run_disk_reference(params: dict, seed: int) -> dict:
     domain, g = _build(params)
     del seed  # nothing stochastic in the closed-form checks
     checks = []
-    # (0, 0) sits on the hub, so this is the hub field the compare queries read
+    # (0, 0) sits on the hub, so this is the hub field that bounds the compare sweeps
     field = g.dist_field((0.0, 0.0))
     for r in params["radii"]:
         u, stub, _ = g.attach((float(r), 0.0))

@@ -7,7 +7,8 @@ tests import them directly via the conftest path hook.
 import numpy as np
 import pytest
 
-from qhgeo import GridGraph, GridParams, build_grid, compile_domain
+from qhgeo import (GridGraph, GridParams, build_grid, compile_domain,
+                   estimate_delta_four_point, estimate_delta_thin_triangles)
 from qhgeo import grid as grid_module
 
 
@@ -37,7 +38,7 @@ def eq1_lower_bounds(domain, x, y):
 def fresh_graph(g):
     """The same graph with no sweep run yet: no hub field, no Euclidean weights."""
     return GridGraph(g.domain, g.params, g.centers, g.deltas, g.levels,
-                     g.csr_qh, g.labels, g.warnings, g.stats)
+                     g._spare[False], g.labels, g.warnings, g.stats)
 
 
 class _CountingCsgraph:
@@ -115,3 +116,14 @@ def comb_grid(comb_domain):
 @pytest.fixture(scope="session")
 def slit_grid(slit_domain):
     return build_grid(slit_domain, GridParams(h=1 / 64, boundary_layer=2))
+
+
+# the two disk128 estimates that the acceptance and analysis tests both read
+@pytest.fixture(scope="session")
+def disk128_four_point(disk128):
+    return estimate_delta_four_point(disk128, 2000, seed=7)
+
+
+@pytest.fixture(scope="session")
+def disk128_thin_triangles(disk128):
+    return estimate_delta_thin_triangles(disk128, 200, seed=7)

@@ -14,8 +14,7 @@ import numpy as np
 from conftest import sample_interior
 from qhgeo import (GridParams, GrowthFunction, PathPolyline, SUITE_NAMES,
                    bh_quasigeodesic_check, build_grid, compare_metrics_disk,
-                   compile_domain, estimate_delta_four_point,
-                   estimate_delta_thin_triangles, gromov_product_boundary_probe,
+                   compile_domain, estimate_delta_four_point, gromov_product_boundary_probe,
                    growth_check, hyp_distance_disk, integral_condition,
                    john_center_probe, loop_probe, make_foot_fingers,
                    parse_growth_function, qh_length, qhbc_fit, run_suite,
@@ -221,12 +220,13 @@ def test_criterion_08_slit_loop(slit_grid, slit_domain):
           f"(m ptp {np.ptp(np.array(lp.m)[-3:]):.3f}), east-west visible")
 
 
-def test_criterion_09_delta_estimation_stability(disk128, disk256):
-    e128 = estimate_delta_four_point(disk128, 2000, seed=7)
+def test_criterion_09_delta_estimation_stability(disk256, disk128_four_point,
+                                                 disk128_thin_triangles):
+    e128 = disk128_four_point
     e256 = estimate_delta_four_point(disk256, 2000, seed=7)
     change = abs(e256.value - e128.value) / e128.value
     assert change < 0.15, f"{e128.value} -> {e256.value} ({change:.1%})"
-    thin = estimate_delta_thin_triangles(disk128, 200, seed=7)
+    thin = disk128_thin_triangles
     ratio = thin.value / e128.value
     assert 0.25 < ratio < 4.0
     print(f"[PASS] criterion 9: four-point delta {e128.value:.4f} -> "

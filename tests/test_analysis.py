@@ -196,12 +196,12 @@ def test_four_point_estimate_determinism(disk64):
     assert small.value <= a.value
 
 
-def test_estimates_unchanged_by_sweep_pruning(disk128):
+def test_estimates_unchanged_by_sweep_pruning(disk128_four_point, disk128_thin_triangles):
     # float.hex of the values computed with unpruned, undirected sweeps on
     # a symmetric matrix; the L/2 limit and directed sweeps must not move them
-    thin = estimate_delta_thin_triangles(disk128, 200, seed=7)
+    thin = disk128_thin_triangles
     assert thin.value.hex() == "0x1.8ea5bd9026898p-1"
-    four = estimate_delta_four_point(disk128, 2000, seed=7)
+    four = disk128_four_point
     # the distance matrix sweeps each pair once, from the (delta, id)-first
     # end, which moved the last bits; a full sweep from every pool node gave
     # 0x1.f2a6f935d79a8p-2, with the same worst configuration

@@ -15,10 +15,11 @@ from qhgeo import SUITE_NAMES, run_suite
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# one full sweep per suite (its basepoint, or the hub field on the disk),
+# one full sweep per suite (its basepoint, the hub field on the disk),
 # plus one bounded sweep per ladder scale: 5 in example8 and comb, whose
-# two probes share one ladder, and 5 for each of slit's two probes
-SWEEPS = {"example8": 6, "disk_reference": 1, "comb": 6, "slit": 11}
+# two probes share one ladder, and 5 for each of slit's two probes; the
+# disk's two compare pairs each sweep once, bounded by the hub field
+SWEEPS = {"example8": 6, "disk_reference": 3, "comb": 6, "slit": 11}
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)

@@ -6,8 +6,8 @@ import pytest
 from scipy.sparse import csgraph
 
 from conftest import fresh_graph, sample_interior
-from qhgeo import (GridParams, build_grid, compile_domain,
-                   gromov_product, nearest_node)
+import qhgeo
+from qhgeo import GridParams, build_grid, compile_domain, gromov_product
 from qhgeo import grid as grid_module
 from qhgeo.curves import ArcPiece, SegPiece, pieces_distance
 from qhgeo.errors import (DomainError, InternalInvariantError, ResolutionError,
@@ -19,11 +19,11 @@ from qhgeo.suites import load_suite_params
 
 def test_coarse_disk_grid_exact(disk_domain):
     # h=0.5 without refinement leaves exactly the four cells around the origin
-    g = build_grid(disk_domain, GridParams(h=0.5, boundary_layer=0, diag=False))
+    g = build_grid(disk_domain, GridParams(h=0.5, boundary_layer=0))
     assert g.node_count == 4
     assert sorted(map(tuple, g.centers.tolist())) == [
         (-0.25, -0.25), (-0.25, 0.25), (0.25, -0.25), (0.25, 0.25)]
-    assert g.edge_count == 4  # plain square cycle
+    assert g.edge_count == 6  # the square cycle and both diagonals
     assert len(set(g.labels.tolist())) == 1
 
 
@@ -43,16 +43,18 @@ def test_gridparams_validation():
 
 
 def test_nearest_node_and_attach(disk_domain):
-    g = build_grid(disk_domain, GridParams(h=0.5, boundary_layer=0, diag=False))
-    idx = g.nearest_node((0.2, 0.2))
-    assert tuple(g.centers[idx]) == (0.25, 0.25)
-    assert nearest_node(g, (0.2, 0.2)) == idx
-    with pytest.raises(DomainError):
-        g.nearest_node((1.5, 0.0))
+    # attach is the one node lookup: nearest_node and its tie rule are gone
+    assert not hasattr(grid_module.GridGraph, "nearest_node")
+    assert not hasattr(qhgeo, "nearest_node") and "nearest_node" not in qhgeo.__all__
+    g = build_grid(disk_domain, GridParams(h=0.5, boundary_layer=0))
     u, stub, euc = g.attach((0.25, 0.25))
-    assert u == idx and stub == 0.0 and euc == 0.0
+    assert tuple(g.centers[u]) == (0.25, 0.25) and stub == 0.0 and euc == 0.0
     u2, stub2, euc2 = g.attach((0.2, 0.2))
-    assert u2 == idx and stub2 > 0.0 and np.isclose(euc2, np.hypot(0.05, 0.05))
+    assert u2 == u and stub2 > 0.0 and np.isclose(euc2, np.hypot(0.05, 0.05))
+    # the origin is equidistant from all four nodes: the lowest id wins
+    assert g.attach((0.0, 0.0))[0] == 0
+    with pytest.raises(DomainError):
+        g.attach((1.5, 0.0))
 
 
 def test_refinement_layers(disk128, disk_domain):
@@ -293,9 +295,9 @@ def test_qh_distances_matches_qh_distance(disk128):
 
 
 def test_node_field_with_pred(disk128):
-    u = disk128.nearest_node((0.0, 0.0))
+    u = disk128.attach((0.0, 0.0))[0]
     dist, pred = disk128.node_field_with_pred(u)
-    v = disk128.nearest_node((0.5, 0.0))
+    v = disk128.attach((0.5, 0.0))[0]
     assert dist[v] > 0.0
     # predecessor chain walks back to the source
     w, hops = v, 0
@@ -416,9 +418,8 @@ _GRAPH_DIGESTS = {
     "two_disks": "afcf5cda5059b39709b731c3a1b662050587c20107d6f590c419585f993f38ee",
     "example8": "3d79037341b05cb71942aa781531e558b7b61ddba78236cbf1edabd8339ca7fb",
     # frozen before the edges were assembled in rank order: disk_reference's
-    # grid, a 4-neighbour grid across levels, and a grid with empty levels
+    # grid and a grid with empty levels
     "disk256": "e972a9d91fb03a0205279bc205fb728a71499b01ed2f3b9896ac8bc6ad024e65",
-    "disk16_four": "4b65f8216a4db77764cb070ea402017309aa745a2749e61ba51e3355e1d93b7d",
     "disk_empty_levels": "4c8f97c1b46f9a0bb6a5407826bceabafb28ccbdbf5913610dccd86e65af066f",
     # taken from the min(delta) certificate's build: 62 edges rejected
     "oblique_slits": "e6c7f086e7851cedb2e9045157d36d1d5c320ad395e6ef18849faeac9ae9e6c0",
@@ -437,8 +438,6 @@ def _named_grid(name, request):
             "oblique_slits": lambda: build_grid(
                 compile_domain(_OBLIQUE_SLITS[0], check_connectivity=False),
                 GridParams(h=_OBLIQUE_SLITS[1], boundary_layer=_OBLIQUE_SLITS[2])),
-            "disk16_four": lambda: build_grid(
-                request.getfixturevalue("disk_domain"), GridParams(h=1 / 16, boundary_layer=2, diag=False)),
             "disk_empty_levels": lambda: build_grid(
                 request.getfixturevalue("disk_domain"), GridParams(h=0.5, boundary_layer=3)),
             }[name]()
@@ -448,8 +447,6 @@ def _named_grid(name, request):
 def test_graph_digest_unchanged(name, request):
     g = _named_grid(name, request)
     assert _graph_digest(g) == _GRAPH_DIGESTS[name]
-    if name == "disk16_four":
-        assert g.stats["nodes"] == [208, 972, 5428]
     if name == "disk_empty_levels":
         assert g.stats["nodes"] == [0, 0, 0, 740]
 
@@ -532,6 +529,94 @@ def test_refinement_tightens_distances(disk64, disk128, disk_domain):
     assert np.mean(diffs) < 0.0
 
 
+# -- candidates on the lattice -------------------------------------------------
+
+def _reference_candidates(g, p):
+    """p's first admissible nodes, walking the nodes in (distance, id) order.
+
+    Returns them and the nodes nearest p, or None when none of the 64
+    nearest nodes is admissible: a 64-node nearest query could not attach
+    p. The walk covers a prefix of that order, every node within the
+    512th smallest distance, and must find its _CANDIDATES nodes there.
+    """
+    p = np.asarray(p, dtype=float)
+    off = g.centers - p
+    d = np.sqrt(off[:, 0] * off[:, 0] + off[:, 1] * off[:, 1])
+    dp = float(g.domain.delta_many(p[None])[0])
+    near = np.flatnonzero(d <= np.partition(d, 511)[511])
+    order = near[np.argsort(d[near], kind="stable")]  # ties: lower id
+    found = []
+    for rank, u in enumerate(order):
+        if rank == 64 and not found:
+            return None
+        if (_ball_certified(dp, g.deltas[u], d[u])
+                or not g.domain.crossings(p[None], g.centers[u][None])[0]):
+            found.append(int(u))
+            if len(found) == grid_module._CANDIDATES:
+                return found, order[:len(found)].tolist()
+    raise AssertionError("fewer candidates than expected among the 512 nearest nodes")
+
+
+def _near_boundary(domain, segments, finest, n, seed):
+    """n points within one finest cell of the given segments, on either side."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        (ax, ay), (bx, by) = segments[rng.integers(len(segments))]
+        t, side = rng.uniform(0.05, 0.95), rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 0.9)
+        nx, ny = np.array([by - ay, ax - bx]) / np.hypot(bx - ax, by - ay)
+        q = (ax + t * (bx - ax) + side * finest * nx, ay + t * (by - ay) + side * finest * ny)
+        if domain.contains(q):
+            out.append(q)
+    return out
+
+
+# segments whose nearby points the lookup test adds: the gaps next to the
+# comb's teeth 7 and 8 are two finest cells wide and hold no node
+_NEAR = {"slit": [((0.0, 0.0), (1.0, 0.0))],
+         "comb": [((2.0 ** -j, 0.0), (2.0 ** -j, 0.5)) for j in range(1, 7)],
+         "oblique_slits": [tuple(map(tuple, seg)) for seg in _OBLIQUE_SLITS[0]["segments"]]}
+
+
+@pytest.mark.parametrize("name", ["disk256", "slit", "comb", "example8", "oblique_slits"])
+def test_candidates_match_brute_force(name, request):
+    # random points, node centers and cell corners (exact distance ties), and
+    # points within one finest cell of a slit or a comb tooth, where near
+    # nodes fail the crossing test
+    g = _named_grid(name, request)
+    finest = g.params.h / (1 << g.params.boundary_layer)
+    pts = list(map(tuple, sample_interior(g.domain, 12, seed=8)))
+    rng = np.random.default_rng(9)
+    nodes = rng.choice(g.node_count, 8, replace=False)
+    corners = g.centers[nodes] + 0.5 * (g.params.h / (1 << g.levels[nodes]))[:, None]
+    pts += [tuple(c) for c in np.vstack([g.centers[nodes], corners]) if g.domain.contains(c)]
+    if name in _NEAR:
+        pts += _near_boundary(g.domain, _NEAR[name], finest, 24, seed=10)
+    assert len(pts) >= 24
+    nearest_rejected = 0
+    for p in pts:
+        ref = _reference_candidates(g, p)
+        assert ref is not None  # a 64-node nearest query attached p
+        want, nearest = ref
+        assert g.attach(p)[0] == want[0]
+        assert g._candidates(p)[0].tolist() == want
+        nearest_rejected += want != nearest
+    if name in _NEAR:
+        assert nearest_rejected > 0
+
+
+def test_lattice_keys_and_ball(slit_grid):
+    # the keys are sorted, and a ball holds exactly the nodes within r
+    g = slit_grid
+    assert (np.diff(g._keys) > 0).all()
+    for p, r in [((0.3, 0.01), 0.02), ((-0.9, 0.1), 0.1), ((0.0, 0.0), 3.0)]:
+        ids, d2 = g._ball(np.array(p), r)
+        off = g.centers - np.array(p)
+        want = np.flatnonzero(off[:, 0] * off[:, 0] + off[:, 1] * off[:, 1] <= r * r)
+        assert ids.tolist() == want.tolist()
+        assert d2.tolist() == (off[want] ** 2).sum(axis=1).tolist()
+
+
 # -- hub-field bound on point-to-point sweeps ---------------------------------
 
 def _mirror_pairs(domain, n, seed):
@@ -547,11 +632,8 @@ def _mirror_pairs(domain, n, seed):
 
 
 def _full_k(g, x, y, inner=False):
-    """k(x, y) as one full sweep from the lower node id gives it."""
-    weights, s = g._metric(inner)
-    ax, ay = g.attach(x), g.attach(y)
-    lo, hi = sorted((ax[0], ay[0]))
-    return ax[s] + ay[s] + float(g._sweep(weights, lo)[hi])
+    """k(x, y) as one full sweep gives it: a fresh graph's first query."""
+    return fresh_graph(g)._distance(x, y, inner)
 
 
 @pytest.mark.parametrize("grid,domain", [("disk128", "disk_domain"),
@@ -575,19 +657,12 @@ def test_hub_bound_is_exact(grid, domain, request):
         assert g.qh_distance_and_geodesic(x, y)[0] == k
         assert g.inner_distance(x, y) == _full_k(g, x, y, inner=True)
     o = pairs[0][0]
-    u, stub_o, _ = g.attach(o)
-    full = g.node_field(u)
-
-    def k_o(t):
-        v, stub_t, _ = g.attach(t)
-        return stub_o + stub_t + float(full[v])
-
-    rest = [(x, y) for x, y in pairs[1:] if u not in (g.attach(x)[0], g.attach(y)[0])]
-    ends = [t for pair in rest for t in pair]
-    want = np.array([k_o(t) for t in ends])
+    ends = [t for pair in pairs[1:] for t in pair]
+    want = fresh_graph(g).qh_distances([o], ends)[0]
     assert g.qh_distances([o], ends)[0].tobytes() == want.tobytes()
-    for x, y in rest[:3]:
-        assert gromov_product(g, o, x, y) == 0.5 * (k_o(x) + k_o(y) - full_k[x, y])
+    k_o = dict(zip(ends, want))
+    for x, y in pairs[1:4]:
+        assert gromov_product(g, o, x, y) == 0.5 * (k_o[x] + k_o[y] - full_k[x, y])
 
 
 @pytest.mark.parametrize("grid,domain", [("disk128", "disk_domain"),
@@ -621,16 +696,20 @@ def test_hub_field_sweep_counts(disk64, sweeps):
 
 
 def test_first_sweep_from_hub_is_kept(disk64, sweeps):
-    # a first sweep from the hub is full, so it serves as the hub field
+    # a point query at the hub sweeps from the spare row, not from the hub,
+    # so its first, full sweep is not the hub field; the second query builds
+    # the field, which is then kept: a basepoint at the hub reads it
     g = fresh_graph(disk64)
     centre = tuple(g.centers[np.argmax(g.deltas)])
     k = g.qh_distance(centre, (0.5, 0.1))
-    assert sweeps == [np.inf] and not g._hub_fields[False][0].flags.writeable
-    assert g._hub_fields[False][0].tobytes() == g.node_field(np.argmax(g.deltas)).tobytes()
-    del sweeps[:]
-    # a later query from the hub reads the field
+    assert sweeps == [np.inf] and g._hub_fields[False] is None
     assert g.qh_distance((0.5, 0.1), centre) == k
-    assert sweeps == []
+    assert sweeps[1] == np.inf and np.isfinite(sweeps[2]) and len(sweeps) == 3
+    hub = g._hub_fields[False][0]
+    assert not hub.flags.writeable
+    assert hub.tobytes() == g.node_field(np.argmax(g.deltas)).tobytes()
+    del sweeps[:]
+    assert g.basepoint(centre).field is hub and sweeps == []
 
 
 def test_hub_in_other_component(sweeps):
@@ -694,8 +773,8 @@ def test_basepoint_is_one_plain_sweep(grid, domain, request):
 
 
 def test_basepoint_at_hub_is_hub_field(disk64, sweeps):
-    # the basepoint at the hub, the qh hub field, dist_field and the point
-    # queries from the hub share one predecessor sweep
+    # the basepoint at the hub, the qh hub field and dist_field share one
+    # predecessor sweep, and it bounds every point query after it
     g = fresh_graph(disk64)
     centre = tuple(g.centers[np.argmax(g.deltas)])
     bp = g.basepoint(centre)
@@ -704,9 +783,7 @@ def test_basepoint_at_hub_is_hub_field(disk64, sweeps):
     assert g.dist_field(centre).tobytes() == (bp.field + bp.stub).tobytes()
     k = g.qh_distance(centre, (0.5, 0.1))
     path = g.qh_geodesic(centre, (0.5, 0.1))
-    assert len(sweeps) == 1
-    # the first point query elsewhere is already bounded by the field
     g.qh_distance((0.1, 0.2), (-0.4, 0.3))
-    assert len(sweeps) == 2 and np.isfinite(sweeps[1])
+    assert len(sweeps) == 4 and np.isfinite(sweeps[1:]).all()
     assert k == _full_k(g, centre, (0.5, 0.1))
     assert abs(path.qh_length_cached - k) < 1e-9

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from qhgeo import CSV_HEADER, PathPolyline, euclidean_length, qh_length
+import qhgeo
+from qhgeo import CSV_HEADER, PathPolyline, qh_length
 from qhgeo.errors import DomainError, GeometryError
 
 
@@ -85,5 +86,8 @@ def test_qh_length_additive_under_subdivision(disk_domain):
 
 
 def test_euclidean_length_helper(disk_domain):
+    # the property is the one Euclidean length: the module function is gone
+    assert not hasattr(qhgeo.paths, "euclidean_length")
+    assert "euclidean_length" not in qhgeo.__all__
     p = PathPolyline.from_domain(disk_domain, radial(0.7, 5))
-    assert euclidean_length(p) == p.euclidean_length
+    assert p.euclidean_length == float(p.cum_euc[-1]) and np.isclose(p.euclidean_length, 0.7)
