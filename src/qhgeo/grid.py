@@ -39,15 +39,19 @@ the piece exceeds the largest such bound there. A skipped piece is never
 the nearest one, and the min over a superset of the nearest piece is the
 same float, so every delta is bit for bit the unscreened value.
 
-The build makes the qh weight matrix only. The int32 edge ids go through
-one COO->CSR conversion, and the qh weights are gathered through the
-resulting order. Each neighbour offset's edges take one rank within their
+The build makes the qh weight matrix only. Its structure alone goes
+through one COO->CSR conversion, with 1-byte placeholder data, and one
+pass over blocks of rows then writes each entry's weight in place. Entry
+(r, c) is computed from r and c, and that is the float of its edge in both
+directions: negating a difference is exact, hypot ignores sign and IEEE
+sums commute. Each neighbour offset's edges take one rank within their
 rows, in column order: coarse-level neighbours first, in (-ax, -ay) order
 of the coarse cell's fine offset, then same-level ones in (dx, dy) order,
 then fine-level ones in (ax, ay) order. Both directions of every offset go
 in sorted by rank, so the conversion's one counting pass leaves each row
 sorted by column; no (row, column) pair occurs twice, so scipy neither
-sorts nor sums duplicates. The conversion is the build's peak memory, and
+sorts nor sums duplicates. The conversion and the weight pass peak about
+equally, near the finished matrix plus the row and column buffer, and
 each build stage is a function whose arrays die on return, so no
 intermediate outlives its last use.
 
@@ -115,7 +119,7 @@ from .geometry import Point2, as_point
 from .paths import PathPolyline
 
 _NO_PRED = -9999  # scipy's "no predecessor" sentinel
-_BLOCK = 1 << 14  # rows of _edge_lengths, or entries of the weight gather, per block
+_BLOCK = 1 << 14  # rows per block of a pass over the weight entries
 _CANDIDATES = 4  # candidates per end that a point query pairs up
 _ATTACH_REACH = 64  # nodes a point's search covers before it may give up
 _KEY_BITS = 29  # bits per lattice coordinate in a node key
@@ -530,109 +534,103 @@ def _edge_weights(domain: Domain, centers: np.ndarray, deltas: np.ndarray,
                   groups: list[tuple], stats: dict):
     """The qh weight CSR of the candidate edge groups, with its spare row.
 
-    Each group is (u, v, rank in row u, rank in row v), with int32 node ids.
-    An edge is kept unless its crossing test finds the segment touching the
-    boundary; edges the ball certificate covers skip the test. The
-    Euclidean lengths are not kept: GridGraph builds them on first use.
-    groups is emptied once its arrays are concatenated, so they are freed
-    before the edge stage's peak, the CSR conversion.
+    Each group is (u, v, rank of v in row u, rank of u in row v), with int32
+    node ids and u < v. Both directions go in as runs sorted by rank, so
+    scipy's counting pass leaves every row sorted. The conversion carries
+    the structure only, with 1-byte placeholder data; groups is emptied and
+    the row and column buffer freed before the weights are written.
 
-    Its last row n fills the last _CANDIDATES slots of its buffers. The
-    indices are copied once the ids and weights are freed, below the peak.
+    One pass over the entries then writes each one's trapezoid weight in
+    place. An edge is kept unless its crossing test finds the segment
+    touching the boundary; the upper entry (u, v) collects the test, which
+    edges the ball certificate covers skip. A rejected edge's two entries
+    are shifted out in place, so no second copy of the arrays is made.
+    The Euclidean lengths are not kept: GridGraph builds them on first use.
+
+    Its last row n fills the last _CANDIDATES slots of its buffers.
     """
-    ends = np.empty((2, sum(len(g[0]) for g in groups)), dtype=np.int32)
-    for i in (0, 1):
-        np.concatenate([g[i] for g in groups], out=ends[i])
-    starts = np.cumsum([0] + [len(g[0]) for g in groups])
-    ranks = [g[2:] for g in groups]
-    groups.clear()
-    eu, ev = ends
-    cx, cy = centers[:, 0], centers[:, 1]
-    elen = np.hypot(cx[ev] - cx[eu], cy[ev] - cy[eu])
-    need = np.flatnonzero(~_ball_certified(deltas[eu], deltas[ev], elen))
-    bad = need[domain.crossings(centers[eu[need]], centers[ev[need]])]
-    stats.update(edges=len(eu) - len(bad), crossing_tests=len(need),
-                 crossing_skipped=len(eu) - len(need))
-    if len(bad):
-        # rejected edges leave their groups: the ids after each one shift down
-        starts = starts - np.searchsorted(bad, starts)
-        ends, elen = np.delete(ends, bad, axis=1), np.delete(elen, bad)
-        eu, ev = ends
-    # the trapezoid weight (|u-v| * 0.5) * (1/delta(u) + 1/delta(v)), formed
-    # in place on the lengths
-    inv = 1.0 / deltas[eu]
-    inv += 1.0 / deltas[ev]
-    wq = elen
-    wq *= 0.5
-    wq *= inv
-    del inv
     n = len(centers)
-    layout = _rank_ordered_layout(ends, starts, ranks, n)
-    del eu, ev, ends  # now the layout's ids: freed before the gather
-    ids, indices, indptr = layout.data, layout.indices, layout.indptr
+    runs = sorted(((rank, a, b) for u, v, ru, rv in groups
+                   for rank, a, b in ((ru, u, v), (rv, v, u))), key=lambda r: r[0])
+    groups.clear()
+    ends = np.empty((2, sum(len(r[1]) for r in runs) + _CANDIDATES), dtype=np.int32)
+    for i in (0, 1):
+        np.concatenate([r[1 + i] for r in runs], out=ends[i, :-_CANDIDATES])
+    del runs
+    ends[0, -_CANDIDATES:], ends[1, -_CANDIDATES:] = n, np.arange(_CANDIDATES)
+    layout = sparse.csr_matrix((np.zeros(ends.shape[1], dtype=np.int8), tuple(ends)),
+                               shape=(n + 1, max(n + 1, _CANDIDATES)))
+    del ends
+    indices, indptr = layout.indices, layout.indptr
     del layout
-    data = np.zeros(len(ids) + _CANDIDATES)
-    for a in range(0, len(ids), _BLOCK):  # at once, np.take makes the ids intp
-        part = ids[a:a + _BLOCK]
-        np.take(wq, part, out=data[a:a + len(part)], mode="clip")  # "raise" buffers out
-    del wq, elen, ids
-    indptr = np.append(indptr, np.int32(len(data)))
-    indices = np.append(indices, np.zeros(_CANDIDATES, dtype=np.int32))
+    indices[-_CANDIDATES:] = 0  # in bounds when n + 1 < _CANDIDATES
+    data = np.zeros(len(indices))
+    tests = []
+    for span, per_row, cols in _entry_blocks(indptr, indices, centers, data):
+        elen, du, dv = data[span], per_row(deltas), deltas[cols]
+        tests.append(span.start + np.flatnonzero(~_ball_certified(du, dv, elen)))
+        # the trapezoid weight (|u-v| * 0.5) * (1/delta(u) + 1/delta(v)):
+        # IEEE sums commute, so both directions get the same float
+        np.reciprocal(du, out=du)
+        du += 1.0 / dv
+        elen *= 0.5
+        elen *= du
+    at = np.concatenate(tests)
+    u, v = np.searchsorted(indptr, at, side="right") - 1, indices[at]
+    up = u < v  # an edge's upper entry runs its test
+    at, u, v = at[up], u[up], v[up]
+    bad = domain.crossings(centers[u], centers[v])
+    edges = (len(indices) - _CANDIDATES) // 2
+    stats.update(edges=edges - int(np.count_nonzero(bad)), crossing_tests=len(at),
+                 crossing_skipped=edges - len(at))
+    if bad.any():
+        mirror = [indptr[c] + np.searchsorted(indices[indptr[c]:indptr[c + 1]], r)
+                  for r, c in zip(u[bad], v[bad])]
+        drop = np.sort(np.r_[at[bad], mirror])
+        # each run between dropped entries moves down by the drops before it
+        for j, (a, b) in enumerate(zip(drop + 1, np.r_[drop[1:], len(indices)])):
+            indices[a - j - 1:b - j - 1] = indices[a:b]
+            data[a - j - 1:b - j - 1] = data[a:b]
+        indptr -= np.searchsorted(drop, indptr).astype(np.int32)
+        indices, data = indices[:len(indices) - len(drop)], data[:len(data) - len(drop)]
     return sparse.csr_matrix((data, indices, indptr), shape=(n + 1, n + 1))
 
 
-def _rank_ordered_layout(ends: np.ndarray, starts, ranks, n: int):
-    """The n x n CSR of edge ids, each edge in both directions.
+def _entry_blocks(indptr: np.ndarray, indices: np.ndarray, centers: np.ndarray,
+                  out: np.ndarray):
+    """The entries of rows 0..len(centers)-1, _BLOCK rows at a time.
 
-    ends is the (2, E) int32 buffer of edge ends. Edge group g holds the
-    ids starts[g]:starts[g + 1]; edge i takes rank ranks[g][0] in row
-    ends[0, i] and ranks[g][1] in row ends[1, i]. The runs go in in rank
-    order, so scipy's counting pass leaves every row sorted.
-
-    The conversion is the build's peak, so the ids get no array of their
-    own: once the rows and columns are read out of ends, ends takes the
-    ids, one run at a time. An ids array of its own either fit a freed heap
-    block or grew the heap, varying from run to run: 16 example8 builds
-    peaked anywhere from 248 to 274 MB. Rows and columns fill one buffer
-    for a like reason: as two arrays they freed two blocks whose adjacency
-    varied, and with it whether the caller's gather grew the heap. Both are
-    freed on return, before that gather.
+    For each block it writes the entries' Euclidean lengths,
+    hypot(x_c - x_r, y_c - y_r) for entry (r, c), into out, then yields
+    the block's entry slice, a map from per-node values to the entries'
+    row values (a repeat of one contiguous slice, no gather), and the
+    entries' columns. Negating a difference is exact, so both directions
+    of an edge get the same length. The temporaries stay a block's size.
     """
-    eu, ev = ends
-    runs = sorted(((rank, pair_ends, slice(starts[g], starts[g + 1]))
-                   for g, pair in enumerate(ranks)
-                   for pair_ends, rank in zip(((eu, ev), (ev, eu)), pair)),
-                  key=lambda r: r[0])
-    rows, cols = np.empty((2, ends.size), dtype=np.int32)
-    np.concatenate([e[0][span] for _, e, span in runs], out=rows)
-    np.concatenate([e[1][span] for _, e, span in runs], out=cols)
-    ids = ends.reshape(-1)
-    at = 0
-    for _, _, span in runs:
-        ids[at:at + span.stop - span.start] = np.arange(span.start, span.stop, dtype=np.int32)
-        at += span.stop - span.start
-    return sparse.csr_matrix((ids, (rows, cols)), shape=(n, n))
+    cx, cy = centers[:, 0], centers[:, 1]
+    for r0 in range(0, len(centers), _BLOCK):
+        rows = slice(r0, min(r0 + _BLOCK, len(centers)))
+        ptr = indptr[rows.start:rows.stop + 1]
+        span, counts, cols = slice(ptr[0], ptr[-1]), np.diff(ptr), indices[ptr[0]:ptr[-1]]
+
+        def per_row(values, rows=rows, counts=counts):
+            return np.repeat(values[rows], counts)
+        np.hypot(cx[cols] - per_row(cx), cy[cols] - per_row(cy), out=out[span])
+        yield span, per_row, cols
 
 
 def _edge_lengths(csr: sparse.csr_matrix, centers: np.ndarray,
                   out: np.ndarray) -> sparse.csr_matrix:
     """The Euclidean length of every entry's edge, on csr's index arrays.
 
-    Entry (u, v) is hypot(x_v - x_u, y_v - y_u), filled in blocks of rows
-    into the head of out, a buffer at least csr.nnz long.
-    The gather's temporaries then stay a block's size, and the matrix adds
-    little beyond its own float64 data: on the disk at h=1/256 one
-    unblocked gather peaked 59 MB higher.
+    It is written into the head of out, a buffer at least csr.nnz long, in
+    blocks of rows, so the matrix adds little beyond its own float64 data:
+    on the disk at h=1/256 one unblocked gather peaked 59 MB higher.
     """
-    indptr, indices = csr.indptr, csr.indices
-    cx, cy = centers[:, 0], centers[:, 1]
-    out = out[:len(indices)]
-    for r0 in range(0, len(indptr) - 1, _BLOCK):
-        ptr = indptr[r0:r0 + _BLOCK + 1]
-        rows = np.repeat(np.arange(r0, r0 + len(ptr) - 1), np.diff(ptr))
-        cols = indices[ptr[0]:ptr[-1]]
-        np.hypot(cx[cols] - cx[rows], cy[cols] - cy[rows], out=out[ptr[0]:ptr[-1]])
-    return sparse.csr_matrix((out, indices, indptr), shape=csr.shape)
+    out = out[:csr.nnz]
+    for _ in _entry_blocks(csr.indptr, csr.indices, centers, out):
+        pass
+    return sparse.csr_matrix((out, csr.indices, csr.indptr), shape=csr.shape)
 
 
 def _refine(domain: Domain, lo: np.ndarray, h: float, n0: tuple[int, int],
