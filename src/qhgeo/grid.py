@@ -57,11 +57,9 @@ intermediate outlives its last use.
 
 Only the Gehring-Hayman and ball-separation checks read the inner metric.
 Its Euclidean weight matrix is built on first use, from csr_qh's index
-arrays, which it shares, and the node centers: entry (u, v) is
-hypot(x_v - x_u, y_v - y_u). Negating a difference is exact, so both
-directions of an edge get the same float, the one the build's ball
-certificate reads. It is filled in blocks of rows, so its temporaries
-stay small.
+arrays, which it shares, and the node centers: entry (u, v) is the length
+hypot(x_v - x_u, y_v - y_u) that the build's ball certificate read, filled
+by the same walk over blocks of rows.
 
 Every shortest-path sweep goes through GridGraph._sweep. Each edge has
 the same weight in both directions, so both matrices are symmetric bit for
@@ -542,10 +540,11 @@ def _edge_weights(domain: Domain, centers: np.ndarray, deltas: np.ndarray,
 
     One pass over the entries then writes each one's trapezoid weight in
     place. An edge is kept unless its crossing test finds the segment
-    touching the boundary; the upper entry (u, v) collects the test, which
-    edges the ball certificate covers skip. A rejected edge's two entries
-    are shifted out in place, so no second copy of the arrays is made.
-    The Euclidean lengths are not kept: GridGraph builds them on first use.
+    touching the boundary. Edges the ball certificate covers skip the test;
+    the others are tested once, from their upper entry (u, v), in one
+    batch. A rejected edge's two entries are shifted out in place, so no
+    second copy of the arrays is made. The Euclidean lengths are not kept:
+    GridGraph builds them on first use.
 
     Its last row n fills the last _CANDIDATES slots of its buffers.
     """
@@ -557,13 +556,15 @@ def _edge_weights(domain: Domain, centers: np.ndarray, deltas: np.ndarray,
     for i in (0, 1):
         np.concatenate([r[1 + i] for r in runs], out=ends[i, :-_CANDIDATES])
     del runs
+    # the spare row's slots take distinct columns, so scipy sums none of
+    # them, and are reset to column 0, which exists for every n
     ends[0, -_CANDIDATES:], ends[1, -_CANDIDATES:] = n, np.arange(_CANDIDATES)
     layout = sparse.csr_matrix((np.zeros(ends.shape[1], dtype=np.int8), tuple(ends)),
                                shape=(n + 1, max(n + 1, _CANDIDATES)))
     del ends
     indices, indptr = layout.indices, layout.indptr
     del layout
-    indices[-_CANDIDATES:] = 0  # in bounds when n + 1 < _CANDIDATES
+    indices[-_CANDIDATES:] = 0
     data = np.zeros(len(indices))
     tests = []
     for span, per_row, cols in _entry_blocks(indptr, indices, centers, data):
