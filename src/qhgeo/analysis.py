@@ -88,7 +88,8 @@ def estimate_delta_four_point(g: GridGraph, n_samples: int, seed: int,
     The pool is fixed by the seed; quadruple rows are drawn in one stream,
     so the estimate is monotone nondecreasing in n_samples for a fixed seed.
     The pool's distances come from GridGraph.node_distance_matrix: one
-    sweep per pool node but the deepest, each stopped at a triangle bound.
+    sweep per pool node but the deepest, each stopped at the tighter of the
+    hub-field and pool-row triangle bounds.
     """
     if n_samples < 1:
         raise SampleError("n_samples must be >= 1")
@@ -117,8 +118,11 @@ def estimate_delta_thin_triangles(g: GridGraph, n_samples: int, seed: int,
 
     The sides come from one predecessor sweep per distinct corner that
     starts a side (a to b and c, b to c), each stopped at the hub bound to
-    its targets; each gap is one multi-source sweep stopped at half the
-    side's length. Both cuts leave every float of the full sweeps.
+    its targets. Each gap is a multi-source sweep from the other two sides,
+    stopped at the running maximum when that is below half the side's
+    length; only a gap above it can raise the estimate, and such a gap is
+    swept again to the half length. Every gap read is the full sweep's
+    float, so the estimate and its worst configuration are too.
     """
     if n_samples < 1:
         raise SampleError("n_samples must be >= 1")
@@ -154,10 +158,19 @@ def estimate_delta_thin_triangles(g: GridGraph, n_samples: int, seed: int,
                                      (side_bc, len_bc, (side_ab, side_ac))):
             # every node of a geodesic side lies within half its length of
             # an endpoint, and both endpoints lie on the other sides, so the
-            # sweep can stop there; the slack covers float rounding only
+            # sweep can stop there; a gap matters only above need, so the
+            # first sweep stops there when that is lower, and a side node it
+            # leaves unreached sends it on to the half length. The slack
+            # covers float rounding only.
             union = np.unique(np.concatenate(others))
-            dist = g.multi_source_field(union, limit=0.5 * length * (1 + 1e-9))
-            gap = float(dist[side].max())
+            need, half = max(best_val, val), 0.5 * length
+            gap = math.inf
+            if 0.0 < need < half:
+                dist = g.multi_source_field(union, limit=need * (1 + 1e-9))
+                gap = float(dist[side].max())
+            if not math.isfinite(gap):
+                dist = g.multi_source_field(union, limit=half * (1 + 1e-9))
+                gap = float(dist[side].max())
             if not math.isfinite(gap):
                 raise InternalInvariantError(
                     "thin-triangle side node beyond half the side length "

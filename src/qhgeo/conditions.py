@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 from .analysis import _as_anchor, _select_node
 from .domains import Domain
@@ -158,12 +157,17 @@ def qhbc_fit(g: GridGraph, x0, n_samples: int, seed: int,
     if n_samples < 10 * n_strata:
         raise SampleError(f"need at least {10 * n_strata} samples")
     bp = g.basepoint(x0)
+    # one array per quantity over the whole component, each written in place
     nodes = np.flatnonzero(g.labels == g.labels[bp.node])
-    k = bp.field[nodes] + bp.stub
+    k = bp.field[nodes]
+    k += bp.stub
+    lr = g.deltas[nodes]
+    del nodes
     d0 = float(g.domain.delta_many(np.array([[bp.point.x, bp.point.y]]))[0])
-    lr = np.log(d0 / g.deltas[nodes])
+    np.log(np.divide(d0, lr, out=lr), out=lr)
     edges = np.linspace(lr.min(), lr.max(), n_strata + 1)
-    which = np.clip(np.digitize(lr, edges[1:-1]), 0, n_strata - 1)
+    which = np.digitize(lr, edges[1:-1])
+    which = np.clip(which, 0, n_strata - 1, out=which).astype(np.min_scalar_type(n_strata))
     rng = np.random.default_rng(seed)
     per = n_samples // n_strata
     chosen: list[np.ndarray] = []
@@ -177,14 +181,16 @@ def qhbc_fit(g: GridGraph, x0, n_samples: int, seed: int,
         chosen.append(rng.choice(pool, size=take, replace=False))
     idx = np.concatenate(chosen)
     slope, intercept = np.polyfit(lr[idx], k[idx], 1)
-    resid = k - (slope * lr + intercept)
-    strat_res = [float(np.maximum(resid[which == s], 0.0).max())
-                 for s in range(n_strata)]
+    # the positive part of k - (slope * lr + intercept)
+    resid = slope * lr
+    resid += intercept
+    np.subtract(k, resid, out=resid)
+    np.maximum(resid, 0.0, out=resid)
+    strat_res = [float(resid[which == s].max()) for s in range(n_strata)]
     grows = any(strat_res[i + 1] >= strat_res[i] + 1.0
                 and strat_res[i + 2] >= strat_res[i + 1] + 1.0
                 for i in range(n_strata - 2))
-    deep_q95 = float(np.percentile(
-        np.maximum(resid[which == n_strata - 1], 0.0), 95))
+    deep_q95 = float(np.percentile(resid[which == n_strata - 1], 95))
     if grows:
         verdict = "fails"
     elif deep_q95 < 1.0:
@@ -193,7 +199,7 @@ def qhbc_fit(g: GridGraph, x0, n_samples: int, seed: int,
         verdict = "inconclusive"
     samples = [(float(k[i]), float(lr[i])) for i in idx]
     return QhbcFit(bp.point.as_tuple(), samples, float(slope), float(intercept),
-                   float(np.maximum(resid, 0.0).max()), strat_res, verdict, len(idx))
+                   float(resid.max()), strat_res, verdict, len(idx))
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +373,7 @@ def integral_condition(phi: GrowthFunction, t_max: float) -> IntegralReport:
 def _quad_inverse(phi: GrowthFunction, lo: float, hi: float) -> float:
     if hi <= lo:
         return 0.0
+    from scipy import integrate  # imported by its only user, not by `import qhgeo`
     val, _ = integrate.quad(lambda t: 1.0 / phi.inverse(t), lo, hi, limit=200)
     return float(val)
 

@@ -94,10 +94,11 @@ holds each field together with its predecessors. dist_field is a
 basepoint's field plus its stub; the other full-field calls (node_field,
 node_field_with_pred, multi_source_field) never use the hub field.
 
-node_distance_matrix uses the same triangle bound with its own rows as the
-landmarks: it sweeps each pair once, from the end that comes first in
-(delta, node id) order, and stops each sweep at the distance through the
-nodes swept before it (see its docstring).
+node_distance_matrix uses the same triangle bound with the qh hub field and
+its own rows as the landmarks: it sweeps each pair once, from the end that
+comes first in (delta, node id) order, and stops each sweep at the shorter
+of the distances through the hub and through the nodes swept before it
+(see its docstring). It builds the hub field if no query has.
 """
 from __future__ import annotations
 
@@ -317,7 +318,7 @@ class GridGraph:
         hub = self._hub_fields.get(inner)
         if hub is None:
             hub = self._hub_fields[inner] = _read_only(*self._sweep(
-                self._metric(inner)[0], self._hub, predecessors=True))
+                self._metric(inner)[0], self._hub, predecessors=True, limit=np.inf))
         return hub
 
     def _hub_limit(self, inner: bool, nodes, stubs, targets) -> float:
@@ -478,23 +479,27 @@ class GridGraph:
         two nodes comes first in (delta, node id) order, so the matrix is
         symmetric bit for bit and does not depend on the order of nodes.
         The distinct nodes are swept in that order, shallowest first, each
-        only to the nodes after it. Through any node k already swept,
-        d(i, j) <= D[k, i] + D[k, j], so the sweep from i stops at
-        max_j min_k (D[k, i] + D[k, j]) * (1 + 1e-9) with the same floats
-        as a full sweep; the slack covers float rounding only. The first
-        sweep runs in full, as does one whose bound is inf (some target in
-        another component than every swept node), and entries across
-        components are inf. A target left unreached under a finite bound
-        raises InternalInvariantError.
+        only to the nodes after it. Through the hub, whose qh field f is
+        built here if no caller built it, and through any node k already
+        swept, d(i, j) <= f[i] + f[j] and d(i, j) <= D[k, i] + D[k, j], so
+        the sweep from i stops at max_j min(f[i] + f[j], min_k (D[k, i] +
+        D[k, j])) * (1 + 1e-9) with the same floats as a full sweep; the
+        slack covers float rounding only. A sweep whose bound is inf (some
+        target in another component than the hub and every swept node)
+        runs in full, and entries across components are inf. A target left
+        unreached under a finite bound raises InternalInvariantError.
         """
         uniq, inv = np.unique(np.asarray(nodes, dtype=np.int64), return_inverse=True)
         order = np.argsort(self.deltas[uniq], kind="stable")  # ties: lower id
         src = uniq[order]
         m = len(src)
         d = np.zeros((m, m))
+        f = self._hub_field(False)[0][src] if m > 1 else None
         for r in range(m - 1):
-            limit = np.inf if r == 0 else float(
-                (d[:r, r, None] + d[:r, r + 1:]).min(axis=0).max()) * (1 + 1e-9)
+            bound = f[r] + f[r + 1:]
+            if r:
+                bound = np.minimum(bound, (d[:r, r, None] + d[:r, r + 1:]).min(axis=0))
+            limit = float(bound.max()) * (1 + 1e-9)
             row = self._sweep(self.csr_qh, int(src[r]), limit=limit)[src[r + 1:]]
             if math.isfinite(limit) and not np.isfinite(row).all():
                 raise InternalInvariantError("target node beyond the triangle bound")

@@ -10,6 +10,7 @@ from qhgeo import (GrowthFunction, estimate_delta_four_point,
                    gromov_product_boundary_probe, growth_check,
                    john_center_probe, loop_probe, qhbc_fit,
                    visibility_and_gromov_probes, visibility_probe)
+from qhgeo.analysis import _sample_pool
 from qhgeo.errors import ConstraintError
 
 SCALES = [2.0 ** -k for k in range(2, 7)]
@@ -248,3 +249,40 @@ def test_thin_triangle_estimate(disk64):
     f = estimate_delta_four_point(disk64, 400, seed=7)
     r = t.value / f.value
     assert 0.25 < r < 4.0
+
+
+def test_thin_triangle_gaps_stop_at_running_max(disk128, monkeypatch):
+    # a gap sweep stops at the running maximum when that is below half the
+    # side's length, and sweeps again to the half length if a side node is
+    # left unreached; the estimate is the full gap sweeps' float
+    g = fresh_graph(disk128)
+    real = g.multi_source_field
+    limits = []
+
+    def spy(nodes, limit=np.inf):
+        limits.append(limit)
+        return real(nodes, limit)
+
+    monkeypatch.setattr(g, "multi_source_field", spy)
+    est = estimate_delta_thin_triangles(g, 10, seed=7)
+    monkeypatch.setattr(g, "multi_source_field", lambda nodes, limit=np.inf: real(nodes))
+    want = estimate_delta_thin_triangles(g, 10, seed=7)
+    assert est.value.hex() == want.value.hex()
+    assert est.worst_configuration == want.worst_configuration
+
+    # each side's sweeps, in the estimator's order: its cap alone, or one
+    # limit below the cap, then the cap if a side node was left unreached
+    rng = np.random.default_rng(7)
+    pool = _sample_pool(g, 60, rng)
+    triples = pool[rng.integers(0, len(pool), size=(10, 3))].tolist()
+    fields = {u: g.node_field(u) for u in set(pool.tolist())}
+    caps = [0.5 * fields[x][y] * (1 + 1e-9)
+            for a, b, c in triples for x, y in ((a, b), (a, c), (b, c))]
+    below, i = 0, 0
+    for cap in caps:
+        if limits[i] < cap:
+            below += 1
+            i += 1
+        if i < len(limits) and limits[i] == cap:
+            i += 1
+    assert i == len(limits) and below > 0

@@ -183,3 +183,16 @@ def test_module_entry_point(disk_json):
                        env={**os.environ, "PYTHONPATH": path})
     assert r.returncode == 0
     assert json.loads(r.stdout)["bound_satisfied"] is True
+
+
+def test_import_leaves_out_scipy_integrate():
+    # only the integral condition's quadrature needs it, and imports it there
+    src = str(Path(qhgeo.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-c",
+                        "import sys, qhgeo, qhgeo.cli; "
+                        "print('scipy.integrate' in sys.modules)"],
+                       capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": path})
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"

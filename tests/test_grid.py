@@ -354,17 +354,36 @@ def test_node_distance_matrix_contract(grid, request, sweeps):
     # one sweep per pair from the shallower end: symmetric bit for bit, the
     # full sweep's float, and independent of the order of the nodes
     g = request.getfixturevalue(grid)
+    if grid == "disk128":
+        g = fresh_graph(g)
     nodes = _sampled_nodes(g, 40, seed=2)
     d = g.node_distance_matrix(nodes)
-    if grid == "disk128":  # connected: every sweep after the first is bounded
+    if grid == "disk128":  # connected: the hub field, then 38 bounded sweeps
         assert len(set(g.labels.tolist())) == 1
-        assert sweeps[0] == np.inf and len(sweeps) == 38
+        assert sweeps[0] == np.inf and len(sweeps) == 39
         assert np.isfinite(sweeps[1:]).all()
     assert d.tobytes() == d.T.tobytes()
     assert d.tobytes() == _brute_matrix(g, nodes.tolist()).tobytes()
     perm = np.random.default_rng(3).permutation(len(nodes))
     assert g.node_distance_matrix(nodes[perm]).tobytes() == d[np.ix_(perm, perm)].tobytes()
     assert d[0, -1] == d[-1, 0] == 0.0 and (np.diag(d) == 0.0).all()
+
+
+def test_node_distance_matrix_sweeps_stop_at_hub_and_row_bounds(disk128, sweeps):
+    # each pool sweep stops no later than the tighter of the two landmark
+    # bounds, the hub's and the rows', both taken from full fields
+    g = fresh_graph(disk128)
+    nodes = _sampled_nodes(g, 40, seed=2)
+    g.node_distance_matrix(nodes)
+    limits = sweeps[1:]  # after the hub field
+    src = sorted(set(nodes.tolist()), key=lambda u: (g.deltas[u], u))
+    assert len(limits) == len(src) - 1
+    hub = g.node_field(g._hub)[src]
+    full = np.array([g.node_field(u)[src] for u in src])
+    for r, limit in enumerate(limits):
+        hub_bound = (hub[r] + hub[r + 1:]).max()
+        row_bound = (full[:r, r, None] + full[:r, r + 1:]).min(axis=0).max() if r else np.inf
+        assert limit <= (1 + 1e-9) * min(hub_bound, row_bound)
 
 
 def test_node_distance_matrix_across_components():
