@@ -158,19 +158,16 @@ def estimate_delta_thin_triangles(g: GridGraph, n_samples: int, seed: int,
                                      (side_bc, len_bc, (side_ab, side_ac))):
             # every node of a geodesic side lies within half its length of
             # an endpoint, and both endpoints lie on the other sides, so the
-            # sweep can stop there; a gap matters only above need, so the
-            # first sweep stops there when that is lower, and a side node it
-            # leaves unreached sends it on to the half length. The slack
-            # covers float rounding only.
+            # sweep can stop there. A gap up to need cannot raise the
+            # estimate, so a lower need is tried first; a side node it leaves
+            # unreached means a larger gap, swept again to the half length.
+            # The slack covers float rounding only.
             union = np.unique(np.concatenate(others))
             need, half = max(best_val, val), 0.5 * length
-            gap = math.inf
-            if 0.0 < need < half:
-                dist = g.multi_source_field(union, limit=need * (1 + 1e-9))
-                gap = float(dist[side].max())
-            if not math.isfinite(gap):
-                dist = g.multi_source_field(union, limit=half * (1 + 1e-9))
-                gap = float(dist[side].max())
+            for cut in ((need, half) if 0.0 < need < half else (half,)):
+                gap = float(g.multi_source_field(union, limit=cut * (1 + 1e-9))[side].max())
+                if math.isfinite(gap):
+                    break
             if not math.isfinite(gap):
                 raise InternalInvariantError(
                     "thin-triangle side node beyond half the side length "
