@@ -24,9 +24,22 @@ _CONE_COS = math.cos(math.radians(25.0))
 
 
 def gromov_product(g: GridGraph, o, x, y) -> float:
-    """(x|y)_o = (k(x,o) + k(o,y) - k(x,y)) / 2 in the grid metric."""
-    k_ox, k_oy = g.qh_distances([o], [x, y])[0]
-    return 0.5 * (k_ox + k_oy - g.qh_distance(x, y))
+    """(x|y)_o = (k(x,o) + k(o,y) - k(x,y)) / 2 in the grid metric.
+
+    Two sweeps, each from its pairs' first end (see GridGraph._end_key):
+    one qh_distances call from the first of o, x and y to the other two,
+    then one qh_distance call for the last pair. So each k is the float
+    qh_distance gives for its pair, and coincident points give 0 with no
+    sweep.
+    """
+    pts = [as_point(p) for p in (o, x, y)]
+    a, b, c = sorted(range(3), key=lambda i: g._end_key(g.attach(pts[i])[0],
+                                                        pts[i].x, pts[i].y))
+    k = np.zeros((3, 3))
+    k[a, [b, c]] = g.qh_distances([pts[a]], [pts[b], pts[c]])[0]
+    k[b, c] = g.qh_distance(pts[b], pts[c])
+    k = k + k.T
+    return float(0.5 * (k[0, 1] + k[0, 2] - k[1, 2]))
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +129,15 @@ def estimate_delta_thin_triangles(g: GridGraph, n_samples: int, seed: int,
                                   pool_size: int = 60) -> DeltaEstimate:
     """Max one-sided Hausdorff gap of geodesic triangle sides (thinness).
 
-    The sides come from one predecessor sweep per distinct corner that
-    starts a side (a to b and c, b to c), each stopped at the hub bound to
-    its targets. Each gap is a multi-source sweep from the other two sides,
-    stopped at the running maximum when that is below half the side's
-    length; only a gap above it can raise the estimate, and such a gap is
-    swept again to the half length. Every gap read is the full sweep's
-    float, so the estimate and its worst configuration are too.
+    Each side is swept from its first end (see GridGraph._end_key): one
+    predecessor sweep per distinct first end, to the other ends of all its
+    sides, stopped at the hub bound to them. A side is a node set, so its
+    direction does not matter. Each gap is a multi-source sweep from the
+    other two sides, stopped at the running maximum when that is below
+    half the side's length; only a gap above it can raise the estimate,
+    and such a gap is swept again to the half length. Every gap read is
+    the full sweep's float, so the estimate and its worst configuration
+    are too.
     """
     if n_samples < 1:
         raise SampleError("n_samples must be >= 1")
@@ -131,30 +146,33 @@ def estimate_delta_thin_triangles(g: GridGraph, n_samples: int, seed: int,
     rng = np.random.default_rng(seed)
     pool = _sample_pool(g, pool_size, rng)
     triples = rng.integers(0, len(pool), size=(n_samples, 3))
-    # each source's targets: b and c from a, c from b (no run from b == c)
+    # each first end's targets: the other ends of its sides (none for u == v)
     targets: dict[int, set[int]] = {}
     for a, b, c in pool[triples].tolist():
-        targets.setdefault(a, set()).update((b, c))
-        if b != c:
-            targets.setdefault(b, set()).add(c)
+        for u, v in ((a, b), (a, c), (b, c)):
+            if u != v:
+                s, t = sorted((u, v), key=g._end_key)
+                targets.setdefault(s, set()).add(t)
     runs = {u: g._reach(False, u, sorted(ts), predecessors=True)
             for u, ts in targets.items()}
+
+    def side_of(u: int, v: int):
+        """The u-v side's nodes, in either direction, and its length."""
+        if u == v:
+            return np.asarray([u]), 0.0
+        s, t = sorted((u, v), key=g._end_key)
+        dist, pred = runs[s]
+        return np.asarray(GridGraph._chain(pred, s, t)), dist[t]
 
     best_val = 0.0
     best_triple = triples[0]
     for row in triples:
         a, b, c = (int(pool[i]) for i in row)
-        dist_a, pred_a = runs[a]
-        side_ab = np.asarray(GridGraph._chain(pred_a, a, b) if a != b else [a])
-        side_ac = np.asarray(GridGraph._chain(pred_a, a, c) if a != c else [a])
-        if b != c:
-            dist_b, pred_b = runs[b]
-            side_bc, len_bc = np.asarray(GridGraph._chain(pred_b, b, c)), dist_b[c]
-        else:
-            side_bc, len_bc = np.asarray([b]), 0.0
+        (side_ab, len_ab), (side_ac, len_ac), (side_bc, len_bc) = (
+            side_of(a, b), side_of(a, c), side_of(b, c))
         val = 0.0
-        for side, length, others in ((side_ab, dist_a[b], (side_ac, side_bc)),
-                                     (side_ac, dist_a[c], (side_ab, side_bc)),
+        for side, length, others in ((side_ab, len_ab, (side_ac, side_bc)),
+                                     (side_ac, len_ac, (side_ab, side_bc)),
                                      (side_bc, len_bc, (side_ab, side_ac))):
             # every node of a geodesic side lies within half its length of
             # an endpoint, and both endpoints lie on the other sides, so the

@@ -76,7 +76,11 @@ the minimum of stub + graph distance + stub over the first _CANDIDATES
 candidates u_i and v_j of the two ends. Each weight matrix has a spare row
 n in the last slots of the buffers that csr_qh and csr_euc end before. A
 query writes one end's u_i and stubs s_i there, sweeps from n, which no
-edge enters, and reads the v_j off the field. The sweep stops at a limit
+edge enters, and reads the v_j off the field. The swept end is the pair's
+first end: its first candidate comes first in (delta, node id) order, and
+the lower point breaks a tie (GridGraph._end_key). A node near the
+boundary has a small qh ball, so the shallower end's sweep stops sooner,
+and k(x, y) is k(y, x) bit for bit. The sweep stops at a limit
 from a hub field f: one full sweep, per metric, from the hub, the deepest
 node (lowest id on a tie). min_i (s_i + f[u_i]) + max_j f[v_j] bounds
 every d(n, v_j), so a sweep cut there times (1 + 1e-9) gives the full
@@ -94,6 +98,8 @@ holds each field together with its predecessors. dist_field is a
 basepoint's field plus its stub; the other full-field calls (node_field,
 node_field_with_pred, multi_source_field) never use the hub field.
 
+Every pair sweep in the library starts at its first end: the point
+queries, gromov_product, the thin-triangle sides and node_distance_matrix.
 node_distance_matrix uses the same triangle bound with the qh hub field and
 its own rows as the landmarks: it sweeps each pair once, from the end that
 comes first in (delta, node id) order, and stops each sweep at the shorter
@@ -200,11 +206,21 @@ class GridGraph:
         self.labels = labels
         self.warnings = warnings
         self.stats = stats
-        # (level, ix, iy) packed into one key; a center is lo + (i + 0.5) * s
+        # (level, ix, iy) packed into one key; a center is lo + (i + 0.5) * s.
+        # One axis at a time, in place, so no (n, 2) temporary is made.
         h, lev = float(params.h), levels.astype(np.int64)
         self._lo = lo = np.asarray(domain.bbox_lo, float)
-        ij = np.rint((centers - lo) / (h / (1 << lev))[:, None] - 0.5).astype(np.int64)
-        self._keys = lev << 2 * _KEY_BITS | ij[:, 0] << _KEY_BITS | ij[:, 1]
+        cell = h / (1 << lev)
+        self._keys = keys = lev << 2 * _KEY_BITS
+        del lev
+        for axis, shift in ((0, _KEY_BITS), (1, 0)):
+            i = centers[:, axis] - lo[axis]
+            i /= cell
+            i -= 0.5
+            np.rint(i, out=i)
+            i = i.astype(np.int64)
+            i <<= shift
+            keys |= i
         self._cells = [h / (1 << k) for k in range(int(params.boundary_layer) + 1)]
         self._hub = int(np.argmax(deltas))
         # inner -> read-only (hub field, predecessors); None from the metric's
@@ -349,15 +365,25 @@ class GridGraph:
             raise InternalInvariantError("target node beyond the hub-field bound")
         return out
 
+    def _end_key(self, node, *coords: float) -> tuple:
+        """A pair end's place in the order pair sweeps start by.
+
+        Every pair is swept from its end with the lower key: its node's
+        (delta, id), a point's node being its first candidate, then the
+        point's coords. The shallower end has the smaller qh ball, so a
+        sweep from it stops sooner.
+        """
+        return (float(self.deltas[node]), int(node), *coords)
+
     def _route(self, x, y, inner: bool, geodesic: bool):
         """(distance, geodesic from x to y or None) from one sweep.
 
-        It runs from the end whose first candidate has the lower id, then the lower point."""
+        It runs from the end with the lower _end_key."""
         px, py = as_point(x), as_point(y)
         if px == py and self.domain.contains(px):  # outside, _candidates raises
             return 0.0, self._polyline(px, py, None) if geodesic else None
         k, cx, cy = self._metric(inner)[1], self._candidates(px), self._candidates(py)
-        flip = (cy[0][0], py.x, py.y) < (cx[0][0], px.x, px.y)
+        flip = self._end_key(cy[0][0], py.x, py.y) < self._end_key(cx[0][0], px.x, px.y)
         src, dst = (cy, cx) if flip else (cx, cy)
         self._check_component(src[0], dst[0])
         out = self._reach(inner, src[0], dst[0], geodesic, src[k])
@@ -410,9 +436,11 @@ class GridGraph:
     def qh_distances(self, sources, targets) -> np.ndarray:
         """k(x, y) for every source x (rows) and target y (columns).
 
-        One sweep per source instead of one per pair. Each entry follows
-        qh_distance, but the sweep runs from the source rather than from the
-        lower end, so an entry may differ from qh_distance by float rounding.
+        One sweep per source instead of one per pair, each field released
+        before the next sweep. An entry is qh_distance's float bit for bit
+        when the source is the pair's first end (see _end_key); otherwise
+        qh_distance sweeps from the target, and the two may differ by
+        rounding.
         """
         tgts = [as_point(t) for t in targets]
         t_cand = [self._candidates(t) for t in tgts]
@@ -427,6 +455,7 @@ class GridGraph:
                 dist = self._reach(False, nodes, np.concatenate([t_cand[j][0] for j in cols]),
                                    stubs=stubs)
                 out[i, cols] = [(dist[t_cand[j][0]] + t_cand[j][1]).min() for j in cols]
+                del dist
         return out
 
     def basepoint(self, x0) -> Basepoint:

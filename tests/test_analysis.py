@@ -276,8 +276,10 @@ def test_thin_triangle_gaps_stop_at_running_max(disk128, monkeypatch):
     pool = _sample_pool(g, 60, rng)
     triples = pool[rng.integers(0, len(pool), size=(10, 3))].tolist()
     fields = {u: g.node_field(u) for u in set(pool.tolist())}
+    # each side's length is the full sweep's float from its (delta, id)-first end
     caps = [0.5 * fields[x][y] * (1 + 1e-9)
-            for a, b, c in triples for x, y in ((a, b), (a, c), (b, c))]
+            for a, b, c in triples for side in ((a, b), (a, c), (b, c))
+            for x, y in [sorted(side, key=lambda u: (g.deltas[u], u))]]
     below, i = 0, 0
     for cap in caps:
         if limits[i] < cap:

@@ -714,9 +714,60 @@ def test_hub_bound_is_exact(grid, domain, request):
     ends = [t for pair in pairs[1:] for t in pair]
     want = fresh_graph(g).qh_distances([o], ends)[0]
     assert g.qh_distances([o], ends)[0].tobytes() == want.tobytes()
-    k_o = dict(zip(ends, want))
+    # each of gromov_product's k is the float qh_distance gives for its pair
     for x, y in pairs[1:4]:
-        assert gromov_product(g, o, x, y) == 0.5 * (k_o[x] + k_o[y] - full_k[x, y])
+        assert gromov_product(g, o, x, y) == 0.5 * (
+            _full_k(g, o, x) + _full_k(g, o, y) - full_k[x, y])
+
+
+def _full_from(g, s, t):
+    """k(s, t) from one full sweep out of s's candidates."""
+    h = fresh_graph(g)
+    (su, ss, _), (tu, ts, _) = h._candidates(s), h._candidates(t)
+    return float((h._reach(False, su, tu, stubs=ss)[tu] + ts).min())
+
+
+@pytest.mark.parametrize("grid,domain", [("disk128", "disk_domain"),
+                                         ("comb_grid", "comb_domain")])
+def test_pairs_swept_from_first_end(grid, domain, request, monkeypatch, sweeps):
+    # every point query and gromov_product sweeps a pair from its end whose
+    # first candidate comes first in (delta, node id) order, then by the
+    # point; the distance is one float both ways, a full sweep's from there
+    g = request.getfixturevalue(grid)
+    pts = sample_interior(request.getfixturevalue(domain), 12, seed=21, min_delta=0.01)
+    node = {p: g.attach(p)[0] for p in pts}
+
+    def key(p):
+        return (g.deltas[node[p]], node[p], *p)
+
+    pairs = list(zip(pts[0::2], pts[1::2]))
+    # the rule differs from first-candidate id order on some pairs
+    assert any(min(pair, key=key) != min(pair, key=lambda p: (node[p], *p))
+               for pair in pairs)
+    g = fresh_graph(g)
+    g.qh_distance(*pairs[0])
+    g.qh_distance(*pairs[1])  # builds the qh hub field
+    real, starts = g._reach, []
+
+    def spy(inner, u, targets, predecessors=False, stubs=0.0):
+        starts.append(int(np.atleast_1d(u)[0]))
+        return real(inner, u, targets, predecessors, stubs)
+
+    monkeypatch.setattr(g, "_reach", spy)
+    for x, y in pairs:
+        s, t = sorted((x, y), key=key)
+        starts.clear()
+        for query in (g.qh_distance, g.inner_distance, g.qh_geodesic):
+            query(x, y)
+            query(y, x)
+        assert starts == [node[s]] * 6
+        assert g.qh_distance(x, y) == g.qh_distance(y, x) == _full_from(g, s, t)
+    for o, x, y in zip(pts[0::3], pts[1::3], pts[2::3]):
+        first, second, _ = sorted((o, x, y), key=key)
+        starts.clear()
+        del sweeps[:]
+        gromov_product(g, o, x, y)
+        assert starts == [node[first], node[second]] and len(sweeps) == 2
 
 
 @pytest.mark.parametrize("grid,domain", [("disk128", "disk_domain"),
