@@ -298,14 +298,13 @@ def _probe_ladder(g: GridGraph, p: Anchor, q: Anchor, bp: Basepoint,
         if xk == yk:
             chain, k_xy = np.asarray([xk]), 0.0
         else:
-            # k(xk, yk) <= field[xk] + field[yk] through x0, so a sweep cut
-            # there settles every prefix of the xk-yk geodesic exactly; the
-            # slack covers float rounding only
-            limit = (float(field[xk]) + float(field[yk])) * (1 + 1e-9)
-            dist, pred = g.node_field_with_pred(xk, limit)
+            # the xk-yk path in x0's shortest-path tree bounds k(xk, yk), so
+            # a sweep cut at its length settles every prefix of the xk-yk
+            # geodesic exactly; the slack covers float rounding only
+            dist, pred = g.node_field_with_pred(xk, bp.tree_bound(xk, yk))
             if not math.isfinite(dist[yk]):
                 raise InternalInvariantError(
-                    "ladder endpoint beyond the triangle bound through x0")
+                    "ladder endpoint beyond its path in x0's shortest-path tree")
             chain = np.asarray(GridGraph._chain(pred, xk, yk))
             k_xy = float(dist[yk])
         m_k = float(field[chain].min())

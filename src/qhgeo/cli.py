@@ -165,8 +165,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="grid spacing (default 1/64)")
     common.add_argument("--layers", type=int, default=2,
                         help="boundary refinement layers (default 2)")
-    common.add_argument("--seed", type=int, default=42,
-                        help="random seed (default 42)")
+    common.add_argument("--seed", type=int, default=None,
+                        help="suite seed (default: the suite's pinned seed)")
     common.add_argument("--format", choices=("json", "csv"), default=None,
                         help="output format (default: json; geodesic: csv)")
     common.add_argument("--out", help="output file (default stdout)")

@@ -92,7 +92,9 @@ growth, the scale-ladder probes) take x0 as a point or as a Basepoint: x0,
 its node and stub, and the read-only field and predecessors of one sweep
 from that node. GridGraph.basepoint builds one, and a caller that runs
 several diagnostics from one x0 builds it once. It is a value the caller
-holds, not state of the graph. When x0's node is the hub, the basepoint and
+holds, not state of the graph. The ladder probes stop each endpoint sweep
+at the length of the endpoints' path in that sweep's tree
+(Basepoint.tree_bound). When x0's node is the hub, the basepoint and
 the qh hub field are one and the same predecessor sweep, so the hub cache
 holds each field together with its predecessors. dist_field is a
 basepoint's field plus its stub; the other full-field calls (node_field,
@@ -159,7 +161,9 @@ class Basepoint:
 
     field is the graph distance from node (without the stub) and pred the
     sweep's predecessors; both are read-only. Build one with
-    GridGraph.basepoint and pass it wherever a diagnostic takes x0.
+    GridGraph.basepoint and pass it wherever a diagnostic takes x0. The
+    field-based diagnostics read field; the scale-ladder probes also read
+    pred, through tree_bound.
     """
     point: Point2
     node: int
@@ -167,6 +171,27 @@ class Basepoint:
     field: np.ndarray
     pred: np.ndarray
     graph: GridGraph
+
+    def tree_bound(self, u: int, v: int) -> float:
+        """The length of the u-v path in this sweep's tree, with 1e-9 slack.
+
+        That path is a graph path, so it bounds the graph distance d(u, v),
+        and a sweep from u cut there reaches v. With f the field and w where
+        the two meet, walking up from the end of larger f, it is
+        f[u] + f[v] - 2 f[w] + 1e-9 (f[u] + f[v]): never above the path
+        through the node, f[u] + f[v]. Any common ancestor would give a
+        valid bound. inf when u or v lies outside the node's component.
+        """
+        f, fu, fv = self.field, float(self.field[u]), float(self.field[v])
+        if not (math.isfinite(fu) and math.isfinite(fv)):
+            return math.inf
+        a, b = int(u), int(v)
+        while a != b:
+            if f[a] >= f[b]:
+                a = int(self.pred[a])
+            else:
+                b = int(self.pred[b])
+        return fu + fv - 2 * float(f[a]) + 1e-9 * (fu + fv)
 
 
 class GridGraph:

@@ -147,6 +147,23 @@ def test_ladder_sweep_limit_is_exact(grid, domain, probes, request, monkeypatch)
     assert cut > 0
 
 
+def test_comb_ladder_sweeps_reach_few_nodes(comb_grid, comb_domain, monkeypatch):
+    # y_k lies on x0's geodesic to x_k, so the tree path between them is a
+    # geodesic and a sweep cut at its length stays near the two endpoints
+    real = comb_grid.node_field_with_pred
+    reach = []
+
+    def spy(node, limit=np.inf):
+        out = real(node, limit)
+        reach.append(np.isfinite(out[0]).mean())
+        return out
+
+    monkeypatch.setattr(comb_grid, "node_field_with_pred", spy)
+    _comb_probes(comb_grid, comb_domain)
+    assert len(reach) == 2 * len(SCALES)
+    assert max(reach) < 0.1
+
+
 def _x0_reports(g, dom, x0):
     """Every diagnostic that takes x0, as JSON text."""
     east, west = dom.anchors["rim_east"], dom.anchors["rim_west"]

@@ -165,6 +165,14 @@ def test_suite_disk_reference(capsys):
     assert all(c["ok"] for c in obj["checks"])
 
 
+def test_suite_without_seed_prints_golden(capsys):
+    # with no --seed the suite runs at its pinned seed, as the goldens do
+    golden = Path(__file__).parent / "golden" / "example8.json"
+    code, out, _ = run_cli(["suite", "example8"], capsys)
+    assert code == 0
+    assert out == golden.read_text()
+
+
 def test_suite_csv_flat(capsys):
     code, out, _ = run_cli(["suite", "disk_reference", "--format", "csv"], capsys)
     assert code == 0

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qhgeo import SUITE_NAMES, run_suite
+from qhgeo import SUITE_NAMES, GridGraph, run_suite
+from qhgeo.grid import Basepoint
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -28,3 +29,28 @@ def test_suite_report_matches_golden(name, sweeps):
     assert json.dumps(run_suite(name), indent=2) + "\n" == want
     assert len(sweeps) == SWEEPS[name]
     assert sum(not np.isfinite(limit) for limit in sweeps) == 1
+
+
+@pytest.mark.parametrize("name", ["example8", "comb", "slit"])
+def test_ladder_limits_within_path_through_x0(name, monkeypatch):
+    # each ladder sweep from x_k stops at the tree bound to y_k, never above
+    # the path through x0's node, f[x_k] + f[y_k] + 2 stub, with its slack
+    bounds, limits = [], []
+    real_bound, real_sweep = Basepoint.tree_bound, GridGraph.node_field_with_pred
+
+    def tree_bound(bp, u, v):
+        out = real_bound(bp, u, v)
+        f = bp.field
+        bounds.append((out, (f[u] + f[v] + 2 * bp.stub) * (1 + 1e-9)))
+        return out
+
+    def node_field_with_pred(g, node, limit=np.inf):
+        limits.append(limit)
+        return real_sweep(g, node, limit)
+
+    monkeypatch.setattr(Basepoint, "tree_bound", tree_bound)
+    monkeypatch.setattr(GridGraph, "node_field_with_pred", node_field_with_pred)
+    run_suite(name)
+    assert len(limits) == SWEEPS[name] - 1
+    assert limits == [b for b, _ in bounds]
+    assert all(b <= old for b, old in bounds)

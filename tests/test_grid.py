@@ -877,6 +877,53 @@ def test_basepoint_is_one_plain_sweep(grid, domain, request):
     assert g.dist_field(x0).tobytes() == (dist + stub).tobytes()
 
 
+def _hand_tree():
+    # 0 is the root; 1 and 2 hang off it at equal field values, 3 and 4
+    # off 1, 5 off 3; 6 lies in another component
+    pred = np.array([grid_module._NO_PRED, 0, 0, 1, 1, 3, grid_module._NO_PRED])
+    field = np.array([0.0, 1.0, 1.0, 2.5, 2.0, 3.0, np.inf])
+    return grid_module.Basepoint(as_point((0, 0)), 0, 0.0, field, pred, None)
+
+
+@pytest.mark.parametrize("u,v,meet", [
+    (5, 1, 1), (1, 5, 1),  # an ancestor
+    (3, 4, 1), (5, 4, 1),  # siblings and cousins
+    (0, 5, 0), (4, 0, 0),  # the root as one end
+    (1, 2, 0), (5, 2, 0),  # equal field values at 1 and 2
+    (3, 3, 3)])
+def test_tree_bound_hand_built(u, v, meet):
+    bp = _hand_tree()
+    f = bp.field
+    want = f[u] + f[v] - 2 * f[meet] + 1e-9 * (f[u] + f[v])
+    assert bp.tree_bound(u, v) == bp.tree_bound(v, u) == want
+
+
+def test_tree_bound_outside_component_is_inf():
+    bp = _hand_tree()
+    assert bp.tree_bound(6, 2) == bp.tree_bound(2, 6) == np.inf
+
+
+@pytest.mark.parametrize("grid,domain,x0", [("disk128", "disk_domain", (0.0, 0.0)),
+                                            ("slit_grid", "slit_domain", (-0.5, 0.0)),
+                                            ("comb_grid", "comb_domain", "comb_upper")])
+def test_tree_bound_brackets_distance(grid, domain, x0, request):
+    # between the graph distance and the path through x0's node, on random
+    # pairs of x0's component: 20 sources with 10 targets each
+    g = request.getfixturevalue(grid)
+    if isinstance(x0, str):
+        x0 = request.getfixturevalue(domain).anchors[x0].point
+    bp = g.basepoint(x0)
+    f = bp.field
+    nodes = np.flatnonzero(g.labels == g.labels[bp.node])
+    rng = np.random.default_rng(3)
+    for u in rng.choice(nodes, 20, replace=False):
+        k = g.node_field(u)
+        for v in rng.choice(nodes, 10, replace=False):
+            bound = bp.tree_bound(u, v)
+            assert k[v] <= bound <= (f[u] + f[v]) * (1 + 1e-9)
+    assert bp.tree_bound(bp.node, bp.node) == 0.0
+
+
 def test_basepoint_at_hub_is_hub_field(disk64, sweeps):
     # the basepoint at the hub, the qh hub field and dist_field share one
     # predecessor sweep, and it bounds every point query after it
