@@ -17,7 +17,7 @@ from .domains import Anchor
 from .errors import (ConstraintError, GeometryError, InternalInvariantError,
                      ResolutionError, SampleError)
 from .geometry import Point2, as_point
-from .grid import Basepoint, GridGraph
+from .grid import Basepoint, GridGraph, _fork_map
 from .report import Report
 
 _CONE_COS = math.cos(math.radians(25.0))
@@ -101,8 +101,8 @@ def estimate_delta_four_point(g: GridGraph, n_samples: int, seed: int,
     The pool is fixed by the seed; quadruple rows are drawn in one stream,
     so the estimate is monotone nondecreasing in n_samples for a fixed seed.
     The pool's distances come from GridGraph.node_distance_matrix: one
-    sweep per pool node but the deepest, each stopped at the tighter of the
-    hub-field and pool-row triangle bounds.
+    sweep per pool node but the deepest, each stopped at the hub-field
+    triangle bound, the sweeps spread over every CPU this process may use.
     """
     if n_samples < 1:
         raise SampleError("n_samples must be >= 1")
@@ -131,8 +131,13 @@ def estimate_delta_thin_triangles(g: GridGraph, n_samples: int, seed: int,
 
     Each side is swept from its first end (see GridGraph._end_key): one
     predecessor sweep per distinct first end, to the other ends of all its
-    sides, stopped at the hub bound to them. A side is a node set, so its
-    direction does not matter. Each gap is a multi-source sweep from the
+    sides, stopped at the hub bound to them. These runs are independent,
+    so they go through grid._fork_map, on every CPU this process may use;
+    the qh hub field is built first, here, since a forked child's cache
+    never reaches this process. Each run hands back its sides' chains and
+    lengths. A side is a node set, so its direction does not matter. The
+    gap sweeps run here, one after another, since each depends on the
+    running maximum. Each gap is a multi-source sweep from the
     other two sides, stopped at the running maximum when that is below
     half the side's length; only a gap above it can raise the estimate,
     and such a gap is swept again to the half length. Every gap read is
@@ -153,16 +158,23 @@ def estimate_delta_thin_triangles(g: GridGraph, n_samples: int, seed: int,
             if u != v:
                 s, t = sorted((u, v), key=g._end_key)
                 targets.setdefault(s, set()).add(t)
-    runs = {u: g._reach(False, u, sorted(ts), predecessors=True)
-            for u, ts in targets.items()}
+    ends = [(s, sorted(ts)) for s, ts in targets.items()]
+
+    def run(end):
+        """Each of the end's sides: its nodes and its length."""
+        s, ts = end
+        dist, pred = g._reach(False, s, ts, predecessors=True)
+        return [(np.asarray(GridGraph._chain(pred, s, t)), dist[t]) for t in ts]
+
+    g._hub_field(False)
+    sides = {(s, t): side for (s, ts), out in zip(ends, _fork_map(run, ends))
+             for t, side in zip(ts, out)}
 
     def side_of(u: int, v: int):
         """The u-v side's nodes, in either direction, and its length."""
         if u == v:
             return np.asarray([u]), 0.0
-        s, t = sorted((u, v), key=g._end_key)
-        dist, pred = runs[s]
-        return np.asarray(GridGraph._chain(pred, s, t)), dist[t]
+        return sides[tuple(sorted((u, v), key=g._end_key))]
 
     best_val = 0.0
     best_triple = triples[0]

@@ -102,16 +102,28 @@ node_field_with_pred, multi_source_field) never use the hub field.
 
 Every pair sweep in the library starts at its first end: the point
 queries, gromov_product, the thin-triangle sides and node_distance_matrix.
-node_distance_matrix uses the same triangle bound with the qh hub field and
-its own rows as the landmarks: it sweeps each pair once, from the end that
-comes first in (delta, node id) order, and stops each sweep at the shorter
-of the distances through the hub and through the nodes swept before it
-(see its docstring). It builds the hub field if no query has.
+node_distance_matrix uses the same triangle bound through the qh hub: it
+sweeps each pair once, from the end that comes first in (delta, node id)
+order, and stops each sweep at the longest distance through the hub to the
+nodes after it (see its docstring). It builds the hub field if no query
+has.
+
+Sweeps that do not depend on each other (node_distance_matrix's rows and
+the thin-triangle side runs) go through _fork_map, which deals them over
+_WORKERS processes, one per CPU in this process's affinity mask: this
+process runs one share and an os.fork child each other one. scipy's
+Dijkstra holds the GIL, so threads would run them one at a time. With one
+CPU, one item, or a second thread alive, _fork_map is a plain loop. Either
+way every float is the one a serial run gives.
 """
 from __future__ import annotations
 
 import math
 import numbers
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,6 +142,9 @@ _BLOCK = 1 << 14  # rows per block of a pass over the weight entries
 _CANDIDATES = 4  # candidates per end that a point query pairs up
 _ATTACH_REACH = 64  # nodes a point's search covers before it may give up
 _KEY_BITS = 29  # bits per lattice coordinate in a node key
+# processes _fork_map spreads independent sweeps over: the CPUs this
+# process may run on
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def _real(v) -> bool:
@@ -140,6 +155,64 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.setflags(write=False)
     return arrays
+
+
+def _fork_map(fn, items) -> list:
+    """[fn(i) for i in items], its shares run in parallel processes.
+
+    The items are dealt round-robin over _WORKERS shares. This process runs
+    the first share; each other share runs in one os.fork child, which
+    pickles its results, or the exception it raised, back over a pipe and
+    leaves by os._exit. A child's exception is raised here with its own
+    type. Every child is reaped before this returns or raises, and killed
+    first when this is unwinding from an error. A child's writes, to a
+    graph's caches or anything else, never reach this process. With one
+    worker, one item, or a second thread alive (a fork copies only the
+    calling thread, whatever locks the others hold), it is the plain list
+    comprehension.
+    """
+    items = list(items)
+    workers = min(_WORKERS, len(items))
+    if workers < 2 or threading.active_count() > 1:
+        return [fn(i) for i in items]
+    children = []  # (pid, the read end of its pipe)
+    done = False
+    try:
+        for w in range(1, workers):
+            rd, wr = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    try:
+                        out = (True, [fn(i) for i in items[w::workers]])
+                    except BaseException as e:
+                        out = (False, e)
+                    with os.fdopen(wr, "wb") as pipe:
+                        pipe.write(pickle.dumps(out))
+                finally:
+                    os._exit(0)
+            os.close(wr)
+            children.append((pid, os.fdopen(rd, "rb")))
+        shares = [[fn(i) for i in items[::workers]]]
+        for pid, pipe in children:
+            data = pipe.read()
+            if not data:
+                raise ChildProcessError(f"worker {pid} exited without a result")
+            ok, out = pickle.loads(data)
+            if not ok:
+                raise out
+            shares.append(out)
+        done = True
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    out = [None] * len(items)
+    for w, share in enumerate(shares):
+        out[w::workers] = share
+    return out
 
 
 @dataclass(frozen=True)
@@ -534,30 +607,31 @@ class GridGraph:
         symmetric bit for bit and does not depend on the order of nodes.
         The distinct nodes are swept in that order, shallowest first, each
         only to the nodes after it. Through the hub, whose qh field f is
-        built here if no caller built it, and through any node k already
-        swept, d(i, j) <= f[i] + f[j] and d(i, j) <= D[k, i] + D[k, j], so
-        the sweep from i stops at max_j min(f[i] + f[j], min_k (D[k, i] +
-        D[k, j])) * (1 + 1e-9) with the same floats as a full sweep; the
-        slack covers float rounding only. A sweep whose bound is inf (some
-        target in another component than the hub and every swept node)
-        runs in full, and entries across components are inf. A target left
-        unreached under a finite bound raises InternalInvariantError.
+        built here if no caller built it, d(i, j) <= f[i] + f[j], so the
+        sweep from i stops at max_j (f[i] + f[j]) * (1 + 1e-9) with the same
+        floats as a full sweep; the slack covers float rounding only. The
+        sweeps are independent, so they run through _fork_map, on every CPU
+        this process may use. A sweep whose bound is inf (some target in
+        another component than the hub) runs in full, and entries across
+        components are inf. A target left unreached under a finite bound
+        raises InternalInvariantError.
         """
         uniq, inv = np.unique(np.asarray(nodes, dtype=np.int64), return_inverse=True)
         order = np.argsort(self.deltas[uniq], kind="stable")  # ties: lower id
         src = uniq[order]
         m = len(src)
-        d = np.zeros((m, m))
         f = self._hub_field(False)[0][src] if m > 1 else None
-        for r in range(m - 1):
-            bound = f[r] + f[r + 1:]
-            if r:
-                bound = np.minimum(bound, (d[:r, r, None] + d[:r, r + 1:]).min(axis=0))
-            limit = float(bound.max()) * (1 + 1e-9)
-            row = self._sweep(self.csr_qh, int(src[r]), limit=limit)[src[r + 1:]]
-            if math.isfinite(limit) and not np.isfinite(row).all():
-                raise InternalInvariantError("target node beyond the triangle bound")
-            d[r, r + 1:] = d[r + 1:, r] = row
+
+        def row(r: int) -> np.ndarray:
+            limit = float((f[r] + f[r + 1:]).max()) * (1 + 1e-9)
+            out = self._sweep(self.csr_qh, int(src[r]), limit=limit)[src[r + 1:]]
+            if math.isfinite(limit) and not np.isfinite(out).all():
+                raise InternalInvariantError("target node beyond the hub bound")
+            return out
+
+        d = np.zeros((m, m))
+        for r, out in enumerate(_fork_map(row, range(m - 1))):
+            d[r, r + 1:] = d[r + 1:, r] = out
         pos = np.empty(m, dtype=np.int64)
         pos[order] = np.arange(m)
         return d[np.ix_(pos[inv], pos[inv])]

@@ -4,6 +4,8 @@ Grid construction dominates test time, so every test module draws from the
 same cached fixtures. Helpers live here (not in a package module) because
 tests import them directly via the conftest path hook.
 """
+import os
+
 import numpy as np
 import pytest
 
@@ -58,10 +60,26 @@ class _CountingCsgraph:
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """The limit of every sweep run while the test runs, in call order."""
+    """The limit of every sweep run while the test runs, in call order.
+
+    A forked worker's sweeps never reach this process's list, so the test
+    runs on one worker: every sweep in this process, in the serial order.
+    """
     counting = _CountingCsgraph(grid_module.csgraph)
     monkeypatch.setattr(grid_module, "csgraph", counting)
+    monkeypatch.setattr(grid_module, "_WORKERS", 1)
     return counting.limits
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"the test left a child process behind (waitpid gave {pid})")
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import fresh_graph
+from qhgeo import grid as grid_module
 from qhgeo import (GrowthFunction, estimate_delta_four_point,
                    estimate_delta_thin_triangles, gromov_product,
                    gromov_product_boundary_probe, growth_check,
@@ -115,9 +116,10 @@ def _comb_probes(g, dom):
     ("slit_grid", "slit_domain", _slit_probes),
     ("comb_grid", "comb_domain", _comb_probes)])
 def test_ladder_sweep_limit_is_exact(grid, domain, probes, request, monkeypatch):
-    # the ladder cuts each x_k sweep at the triangle bound through x0; the
-    # nodes it reaches carry the full sweep's distances and predecessors,
-    # so k_xy and the chain (hence m and clearance) do not change
+    # the ladder cuts each x_k sweep at the length of the x_k-y_k path in
+    # x0's shortest-path tree (Basepoint.tree_bound); the nodes it reaches
+    # carry the full sweep's distances and predecessors, so k_xy and the
+    # chain (hence m and clearance) do not change
     g, dom = request.getfixturevalue(grid), request.getfixturevalue(domain)
     real = g.node_field_with_pred
     sweeps = []
@@ -228,6 +230,21 @@ def test_estimates_unchanged_by_sweep_pruning(disk128_four_point, disk128_thin_t
     assert four.worst_configuration == (
         (-0.17578125, -0.51953125), (0.89453125, 0.14453125),
         (0.814453125, -0.462890625), (0.45703125, -0.77734375))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_estimates_same_on_any_worker_count(disk128, disk128_four_point,
+                                            disk128_thin_triangles, workers,
+                                            monkeypatch):
+    # the thin triangles first, so they build the hub field on a fresh graph
+    monkeypatch.setattr(grid_module, "_WORKERS", workers)
+    g = fresh_graph(disk128)
+    thin = estimate_delta_thin_triangles(g, 200, seed=7)
+    four = estimate_delta_four_point(g, 2000, seed=7)
+    assert thin.value.hex() == "0x1.8ea5bd9026898p-1"
+    assert four.value.hex() == "0x1.f2a6f935d7990p-2"
+    assert json.dumps(thin.to_dict()) == json.dumps(disk128_thin_triangles.to_dict())
+    assert json.dumps(four.to_dict()) == json.dumps(disk128_four_point.to_dict())
 
 
 def test_thin_triangle_runs_are_hub_bounded(disk128, sweeps, monkeypatch):

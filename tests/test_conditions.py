@@ -11,6 +11,7 @@ from qhgeo import (GrowthFunction, PathPolyline, ball_separation_check,
                    gehring_hayman_ratio, growth_check, integral_condition,
                    john_center_probe, loop_probe, parse_growth_function,
                    qhbc_fit, visibility_probe)
+from qhgeo import grid as grid_module
 from qhgeo.errors import FunctionError, GeometryError, SampleError
 
 SCALES = [0.25, 0.125, 0.0625, 0.03125]
@@ -293,3 +294,10 @@ def test_every_report_to_dict_is_plain_json(disk64, disk_domain, slit_grid,
         text = json.dumps(d)
         assert _plain(d), name
         assert hashlib.sha256(text.encode()).hexdigest() == _REPORT_DIGESTS[name], name
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_four_point_digest_on_any_worker_count(disk64, workers, monkeypatch):
+    monkeypatch.setattr(grid_module, "_WORKERS", workers)
+    text = json.dumps(estimate_delta_four_point(disk64, 200, seed=7).to_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == _REPORT_DIGESTS["four_point"]

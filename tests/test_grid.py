@@ -1,5 +1,8 @@
 """Grid construction, attachment, shortest-path plumbing."""
 import hashlib
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,7 +17,7 @@ from qhgeo.curves import ArcPiece, SegPiece, pieces_distance
 from qhgeo.errors import (DomainError, InternalInvariantError, ResolutionError,
                           UnreachableError)
 from qhgeo.geometry import as_point
-from qhgeo.grid import _ball_certified
+from qhgeo.grid import _ball_certified, _fork_map
 from qhgeo.suites import load_suite_params
 
 
@@ -369,9 +372,9 @@ def test_node_distance_matrix_contract(grid, request, sweeps):
     assert d[0, -1] == d[-1, 0] == 0.0 and (np.diag(d) == 0.0).all()
 
 
-def test_node_distance_matrix_sweeps_stop_at_hub_and_row_bounds(disk128, sweeps):
-    # each pool sweep stops no later than the tighter of the two landmark
-    # bounds, the hub's and the rows', both taken from full fields
+def test_node_distance_matrix_sweeps_stop_at_hub_bound(disk128, sweeps):
+    # each pool sweep stops at the hub bound to the nodes after it, taken
+    # from a full field from the hub, times the float slack
     g = fresh_graph(disk128)
     nodes = _sampled_nodes(g, 40, seed=2)
     g.node_distance_matrix(nodes)
@@ -379,11 +382,8 @@ def test_node_distance_matrix_sweeps_stop_at_hub_and_row_bounds(disk128, sweeps)
     src = sorted(set(nodes.tolist()), key=lambda u: (g.deltas[u], u))
     assert len(limits) == len(src) - 1
     hub = g.node_field(g._hub)[src]
-    full = np.array([g.node_field(u)[src] for u in src])
     for r, limit in enumerate(limits):
-        hub_bound = (hub[r] + hub[r + 1:]).max()
-        row_bound = (full[:r, r, None] + full[:r, r + 1:]).min(axis=0).max() if r else np.inf
-        assert limit <= (1 + 1e-9) * min(hub_bound, row_bound)
+        assert limit == (hub[r] + hub[r + 1:]).max() * (1 + 1e-9)
 
 
 def test_node_distance_matrix_across_components():
@@ -401,6 +401,7 @@ def test_node_distance_matrix_across_components():
 
 
 def test_node_distance_matrix_bound_too_small_raises(disk64, monkeypatch):
+    monkeypatch.setattr(grid_module, "_WORKERS", 2)
     real = disk64._sweep
 
     def halved(weights, sources, **kwargs):
@@ -410,6 +411,75 @@ def test_node_distance_matrix_bound_too_small_raises(disk64, monkeypatch):
     monkeypatch.setattr(disk64, "_sweep", halved)
     with pytest.raises(InternalInvariantError):
         disk64.node_distance_matrix(_sampled_nodes(disk64, 10, seed=1))
+
+
+@pytest.mark.parametrize("grid", ["disk128", "slit_grid"])
+def test_node_distance_matrix_same_bytes_on_two_workers(grid, request, monkeypatch):
+    g = request.getfixturevalue(grid)
+    nodes = _sampled_nodes(g, 40, seed=2)
+    out = []
+    for workers in (1, 2):
+        monkeypatch.setattr(grid_module, "_WORKERS", workers)
+        out.append(g.node_distance_matrix(nodes).tobytes())
+    assert out[0] == out[1]
+
+
+# -- forked workers -----------------------------------------------------------
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_fork_map_matches_inline(workers, monkeypatch):
+    monkeypatch.setattr(grid_module, "_WORKERS", workers)
+
+    def fn(i):
+        return np.arange(i) / 3.0, i * i
+
+    got, want = _fork_map(fn, range(7)), [fn(i) for i in range(7)]
+    assert [(a.tobytes(), k) for a, k in got] == [(a.tobytes(), k) for a, k in want]
+    assert _fork_map(fn, []) == []
+    # share w holds items w, w + workers, ...; this process runs share 0
+    pids = _fork_map(lambda i: os.getpid(), range(7))
+    assert set(pids[::workers]) == {os.getpid()}
+    assert len(set(pids)) == workers
+    assert all(len(set(pids[w::workers])) == 1 for w in range(workers))
+
+
+def test_fork_map_raises_a_workers_exception(monkeypatch):
+    monkeypatch.setattr(grid_module, "_WORKERS", 2)
+
+    def fn(i):
+        if i == 3:  # in the forked share
+            raise InternalInvariantError(f"item {i}")
+        return i
+
+    with pytest.raises(InternalInvariantError, match="item 3"):
+        _fork_map(fn, range(6))
+
+
+def test_fork_map_kills_workers_when_its_own_share_raises(monkeypatch):
+    # the forked share would sleep for a minute; it is killed and reaped
+    monkeypatch.setattr(grid_module, "_WORKERS", 2)
+
+    def fn(i):
+        if i == 0:
+            raise ValueError("own share")
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="own share"):
+        _fork_map(fn, range(4))
+    assert time.monotonic() - start < 30
+
+
+def test_fork_map_inline_beside_another_thread(monkeypatch):
+    monkeypatch.setattr(grid_module, "_WORKERS", 2)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert _fork_map(lambda i: os.getpid(), range(4)) == [os.getpid()] * 4
+    finally:
+        stop.set()
+        other.join()
 
 
 # -- the built graph, bit for bit ---------------------------------------------
