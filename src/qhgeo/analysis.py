@@ -132,12 +132,11 @@ def estimate_delta_thin_triangles(g: GridGraph, n_samples: int, seed: int,
     Each side is swept from its first end (see GridGraph._end_key): one
     predecessor sweep per distinct first end, to the other ends of all its
     sides, stopped at the hub bound to them. These runs are independent,
-    so they go through grid._fork_map, on every CPU this process may use;
-    the qh hub field is built first, here, since a forked child's cache
-    never reaches this process. Each run hands back its sides' chains and
-    lengths. A side is a node set, so its direction does not matter. The
-    gap sweeps run here, one after another, since each depends on the
-    running maximum. Each gap is a multi-source sweep from the
+    so they go through grid._fork_map, on every CPU this process may use,
+    and each hands back its sides' chains and lengths. A side is a node
+    set, so its direction does not matter. The gap sweeps run in this
+    process, one after another, since each depends on the running
+    maximum. Each gap is a multi-source sweep from the
     other two sides, stopped at the running maximum when that is below
     half the side's length; only a gap above it can raise the estimate,
     and such a gap is swept again to the half length. Every gap read is
@@ -166,7 +165,7 @@ def estimate_delta_thin_triangles(g: GridGraph, n_samples: int, seed: int,
         dist, pred = g._reach(False, s, ts, predecessors=True)
         return [(np.asarray(GridGraph._chain(pred, s, t)), dist[t]) for t in ts]
 
-    g._hub_field(False)
+    g._hub_field(False)  # here: a forked worker's cache never reaches this process
     sides = {(s, t): side for (s, ts), out in zip(ends, _fork_map(run, ends))
              for t, side in zip(ts, out)}
 

@@ -176,19 +176,18 @@ def _fork_map(fn, items) -> list:
     if workers < 2 or threading.active_count() > 1:
         return [fn(i) for i in items]
     children = []  # (pid, the read end of its pipe)
-    done = False
     try:
         for w in range(1, workers):
             rd, wr = os.pipe()
             pid = os.fork()
             if pid == 0:
                 try:
-                    try:
-                        out = (True, [fn(i) for i in items[w::workers]])
-                    except BaseException as e:
-                        out = (False, e)
+                    result = (True, [fn(i) for i in items[w::workers]])
+                except BaseException as e:  # sent to the parent, which raises it
+                    result = (False, e)
+                try:
                     with os.fdopen(wr, "wb") as pipe:
-                        pipe.write(pickle.dumps(out))
+                        pipe.write(pickle.dumps(result))
                 finally:
                     os._exit(0)
             os.close(wr)
@@ -198,16 +197,17 @@ def _fork_map(fn, items) -> list:
             data = pipe.read()
             if not data:
                 raise ChildProcessError(f"worker {pid} exited without a result")
-            ok, out = pickle.loads(data)
+            ok, result = pickle.loads(data)
             if not ok:
-                raise out
-            shares.append(out)
-        done = True
+                raise result
+            shares.append(result)
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
         for pid, pipe in children:
             pipe.close()
-            if not done:
-                os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     out = [None] * len(items)
     for w, share in enumerate(shares):

@@ -479,7 +479,8 @@ def test_fork_map_inline_beside_another_thread(monkeypatch):
         assert _fork_map(lambda i: os.getpid(), range(4)) == [os.getpid()] * 4
     finally:
         stop.set()
-        other.join()
+        other.join(timeout=10)
+    assert not other.is_alive()
 
 
 # -- the built graph, bit for bit ---------------------------------------------
