@@ -293,7 +293,6 @@ def _probe_ladder(g: GridGraph, p: Anchor, q: Anchor, bp: Basepoint,
                   distinct: bool = False):
     """Shared endpoint-ladder engine for the three boundary probes."""
     label = int(g.labels[bp.node])
-    field = bp.field + bp.stub
     rows = []
     for t in scales:
         xk = _select_node(g, p.point, t, label, dir_p)
@@ -312,15 +311,14 @@ def _probe_ladder(g: GridGraph, p: Anchor, q: Anchor, bp: Basepoint,
             # the xk-yk path in x0's shortest-path tree bounds k(xk, yk), so
             # a sweep cut at its length settles every prefix of the xk-yk
             # geodesic exactly; the slack covers float rounding only
-            dist, pred = g.node_field_with_pred(xk, bp.tree_bound(xk, yk))
-            if not math.isfinite(dist[yk]):
+            sweep = g.basepoint(xk, bp.tree_bound(xk, yk))
+            if not math.isfinite(sweep.field[yk]):
                 raise InternalInvariantError(
                     "ladder endpoint beyond its path in x0's shortest-path tree")
-            chain = np.asarray(GridGraph._chain(pred, xk, yk))
-            k_xy = float(dist[yk])
-        m_k = float(field[chain].min())
+            chain, k_xy = np.asarray(sweep.path(yk)), float(sweep.field[yk])
+        m_k = float((bp.field[chain] + bp.stub).min())
         clear_k = float(g.deltas[chain].max())
-        prod = 0.5 * (float(field[xk]) + float(field[yk]) - k_xy)
+        prod = 0.5 * (float(bp.field[xk] + bp.stub) + float(bp.field[yk] + bp.stub) - k_xy)
         rows.append((t, xk, yk, m_k, clear_k, prod, k_xy))
     return rows
 

@@ -83,8 +83,7 @@ def john_center_probe(g: GridGraph, x0, boundary_targets, scales) -> JohnReport:
     if any(b >= a for a, b in zip(scales, scales[1:])) or not scales:
         raise ConstraintError("scales must be strictly decreasing and nonempty")
     bp = g.basepoint(x0)
-    u0 = bp.node
-    label = int(g.labels[u0])
+    label = int(g.labels[bp.node])
     targets = [_as_anchor(a) for a in boundary_targets]
     constants: list[list] = []
     per_target: list[float] = []
@@ -95,8 +94,7 @@ def john_center_probe(g: GridGraph, x0, boundary_targets, scales) -> JohnReport:
             if node is None:
                 row.append(None)
                 continue
-            chain = GridGraph._chain(bp.pred, u0, node) if node != u0 else [u0]
-            row.append(_john_constant(g, chain))
+            row.append(_john_constant(g, bp.path(node)))
         vals = [v for v in row if v is not None]
         if not vals:
             raise ResolutionError(

@@ -90,15 +90,15 @@ one-shot query pays for no bound; across components f and the limit are inf.
 The diagnostics that measure k(x0, .) from a fixed basepoint (John, QHBC,
 growth, the scale-ladder probes) take x0 as a point or as a Basepoint: x0,
 its node and stub, and the read-only field and predecessors of one sweep
-from that node. GridGraph.basepoint builds one, and a caller that runs
-several diagnostics from one x0 builds it once. It is a value the caller
-holds, not state of the graph. The ladder probes stop each endpoint sweep
-at the length of the endpoints' path in that sweep's tree
-(Basepoint.tree_bound). When x0's node is the hub, the basepoint and
-the qh hub field are one and the same predecessor sweep, so the hub cache
-holds each field together with its predecessors. dist_field is a
-basepoint's field plus its stub; the other full-field calls (node_field,
-node_field_with_pred, multi_source_field) never use the hub field.
+from that node. GridGraph.basepoint, the one single-source sweep with
+predecessors, builds one from a point or a node id, cut at an optional
+limit; a caller that runs several diagnostics from one x0 builds it once
+and holds it, so it is not state of the graph. The ladder sweeps from each
+endpoint, cut at the endpoints' path in x0's tree (Basepoint.tree_bound).
+A full sweep from the hub is the qh hub field, so the hub cache holds each
+field with its predecessors; a limited one never touches that cache.
+dist_field is a basepoint's field plus its stub; multi_source_field, the
+node-set sweep, never uses the hub field.
 
 Every pair sweep in the library starts at its first end: the point
 queries, gromov_product, the thin-triangle sides and node_distance_matrix.
@@ -232,11 +232,11 @@ class GridParams:
 class Basepoint:
     """A basepoint x0 with the qh field of one predecessor sweep from its node.
 
-    field is the graph distance from node (without the stub) and pred the
-    sweep's predecessors; both are read-only. Build one with
-    GridGraph.basepoint and pass it wherever a diagnostic takes x0. The
-    field-based diagnostics read field; the scale-ladder probes also read
-    pred, through tree_bound.
+    field is the graph distance from node (without the stub), inf beyond the
+    sweep's limit, and pred the sweep's predecessors; both are read-only.
+    Build one with GridGraph.basepoint and pass it wherever a diagnostic
+    takes x0. The field-based diagnostics read field; the scale-ladder
+    probes also read pred, through tree_bound and path.
     """
     point: Point2
     node: int
@@ -265,6 +265,10 @@ class Basepoint:
             else:
                 b = int(self.pred[b])
         return fu + fv - 2 * float(f[a]) + 1e-9 * (fu + fv)
+
+    def path(self, v: int) -> list[int]:
+        """The node ids from node to v along this sweep's tree."""
+        return GridGraph._chain(self.pred, self.node, int(v))
 
 
 class GridGraph:
@@ -556,37 +560,33 @@ class GridGraph:
                 del dist
         return out
 
-    def basepoint(self, x0) -> Basepoint:
-        """x0 as a Basepoint: attached, with one predecessor sweep from its node.
+    def basepoint(self, x0, limit: float = np.inf) -> Basepoint:
+        """x0 as a Basepoint, with one predecessor sweep from its node cut at limit.
 
-        A Basepoint built on this graph comes back as it is, so a diagnostic
-        passes any x0 through here; one built on another graph raises
-        ConstraintError. At the hub the sweep is the qh hub field.
+        x0 is a point, attached to its first candidate; a node id, with stub 0
+        and the node's center as point (ConstraintError outside [0, n)); or a
+        Basepoint built on this graph, which comes back as it is, so a
+        diagnostic passes any x0 through here. One built on another graph
+        raises ConstraintError. A full sweep at the hub is the qh hub field;
+        a limited one never touches the hub cache.
         """
         if isinstance(x0, Basepoint):
             if x0.graph is not self:
                 raise ConstraintError("basepoint was built on another graph")
             return x0
-        pt = as_point(x0)
-        u, stub, _ = self.attach(pt)
-        if u == self._hub:
+        if isinstance(x0, numbers.Integral) and not isinstance(x0, bool):
+            if not 0 <= x0 < self.node_count:
+                raise ConstraintError(f"node {x0} is not in [0, {self.node_count})")
+            u, stub, pt = int(x0), 0.0, as_point(self.centers[x0])
+        else:
+            pt = as_point(x0)
+            u, stub, _ = self.attach(pt)
+        if u == self._hub and limit == np.inf:
             field, pred = self._hub_field(False)
         else:
-            field, pred = _read_only(*self._sweep(self.csr_qh, u, predecessors=True))
+            field, pred = _read_only(*self._sweep(self.csr_qh, u, predecessors=True,
+                                                  limit=limit))
         return Basepoint(pt, u, stub, field, pred, self)
-
-    def dist_field(self, source) -> np.ndarray:
-        """Quasihyperbolic distance from a point to every node (stub included)."""
-        bp = self.basepoint(source)
-        return bp.field + bp.stub
-
-    def node_field(self, node: int) -> np.ndarray:
-        return self._sweep(self.csr_qh, int(node))
-
-    def node_field_with_pred(self, node: int, limit: float = np.inf
-                             ) -> tuple[np.ndarray, np.ndarray]:
-        """Graph distances and predecessors from one node, exact up to limit."""
-        return self._sweep(self.csr_qh, int(node), predecessors=True, limit=limit)
 
     def multi_source_field(self, nodes, limit: float = np.inf) -> np.ndarray:
         """Min quasihyperbolic graph distance from a node set to every node.
@@ -943,4 +943,6 @@ def inner_distance(g: GridGraph, x, y) -> float:
 
 
 def dist_field(g: GridGraph, source) -> np.ndarray:
-    return g.dist_field(source)
+    """Quasihyperbolic distance from a source to every node, stub included."""
+    bp = g.basepoint(source)
+    return bp.field + bp.stub

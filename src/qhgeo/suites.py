@@ -18,7 +18,7 @@ from .analysis import (loop_probe, visibility_and_gromov_probes,
 from .conditions import john_center_probe, qhbc_fit
 from .domains import compile_domain
 from .errors import ConstraintError
-from .grid import GridParams, build_grid
+from .grid import GridParams, build_grid, dist_field
 from .hyperbolic import compare_metrics_disk, hyp_distance_disk
 
 SUITE_NAMES = ("example8", "disk_reference", "comb", "slit")
@@ -61,7 +61,7 @@ def _run_disk_reference(params: dict, seed: int) -> dict:
     del seed  # nothing stochastic in the closed-form checks
     checks = []
     # (0, 0) sits on the hub, so this is the hub field that bounds the compare sweeps
-    field = g.dist_field((0.0, 0.0))
+    field = dist_field(g, (0.0, 0.0))
     for r in params["radii"]:
         u, stub, _ = g.attach((float(r), 0.0))
         k = float(field[u] + stub)

@@ -8,6 +8,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 from qhgeo import (GridGraph, GridParams, build_grid, compile_domain,
                    estimate_delta_four_point, estimate_delta_thin_triangles)
@@ -41,6 +42,16 @@ def fresh_graph(g):
     """The same graph with no sweep run yet: no hub field, no Euclidean weights."""
     return GridGraph(g.domain, g.params, g.centers, g.deltas, g.levels,
                      g._spare[False], g.labels, g.warnings, g.stats)
+
+
+def full_sweep(g, node, predecessors=False):
+    """The full qh sweep from one node, run through scipy directly.
+
+    An independent reference for the library's own sweeps; the sweeps
+    fixture does not count it.
+    """
+    return csgraph.dijkstra(g.csr_qh, directed=True, indices=int(node),
+                            return_predecessors=predecessors)
 
 
 class _CountingCsgraph:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import fresh_graph
+from conftest import fresh_graph, full_sweep
 from qhgeo import grid as grid_module
 from qhgeo import (GrowthFunction, estimate_delta_four_point,
                    estimate_delta_thin_triangles, gromov_product,
@@ -121,25 +121,26 @@ def test_ladder_sweep_limit_is_exact(grid, domain, probes, request, monkeypatch)
     # carry the full sweep's distances and predecessors, so k_xy and the
     # chain (hence m and clearance) do not change
     g, dom = request.getfixturevalue(grid), request.getfixturevalue(domain)
-    real = g.node_field_with_pred
+    real = g.basepoint
     sweeps = []
 
-    def full(node, limit=np.inf):
-        return real(node)
+    def full(x0, limit=np.inf):
+        return real(x0)
 
-    def limited(node, limit=np.inf):
-        out = real(node, limit)
-        sweeps.append((node, limit, *out))
+    def limited(x0, limit=np.inf):
+        out = real(x0, limit)
+        if np.isfinite(limit):  # a ladder sweep, not x0's own
+            sweeps.append((x0, limit, out.field, out.pred))
         return out
 
-    monkeypatch.setattr(g, "node_field_with_pred", full)
+    monkeypatch.setattr(g, "basepoint", full)
     want = [r.to_dict() for r in probes(g, dom)]
-    monkeypatch.setattr(g, "node_field_with_pred", limited)
+    monkeypatch.setattr(g, "basepoint", limited)
     assert [r.to_dict() for r in probes(g, dom)] == want
     assert sweeps
     cut = 0
     for node, limit, dist, pred in sweeps:
-        full_dist, full_pred = real(node)
+        full_dist, full_pred = full_sweep(g, node, predecessors=True)
         reached = np.isfinite(dist)
         assert np.isfinite(limit)
         assert dist[reached].tobytes() == full_dist[reached].tobytes()
@@ -152,15 +153,16 @@ def test_ladder_sweep_limit_is_exact(grid, domain, probes, request, monkeypatch)
 def test_comb_ladder_sweeps_reach_few_nodes(comb_grid, comb_domain, monkeypatch):
     # y_k lies on x0's geodesic to x_k, so the tree path between them is a
     # geodesic and a sweep cut at its length stays near the two endpoints
-    real = comb_grid.node_field_with_pred
+    real = comb_grid.basepoint
     reach = []
 
-    def spy(node, limit=np.inf):
-        out = real(node, limit)
-        reach.append(np.isfinite(out[0]).mean())
+    def spy(x0, limit=np.inf):
+        out = real(x0, limit)
+        if np.isfinite(limit):  # a ladder sweep, not x0's own
+            reach.append(np.isfinite(out.field).mean())
         return out
 
-    monkeypatch.setattr(comb_grid, "node_field_with_pred", spy)
+    monkeypatch.setattr(comb_grid, "basepoint", spy)
     _comb_probes(comb_grid, comb_domain)
     assert len(reach) == 2 * len(SCALES)
     assert max(reach) < 0.1
@@ -309,7 +311,7 @@ def test_thin_triangle_gaps_stop_at_running_max(disk128, monkeypatch):
     rng = np.random.default_rng(7)
     pool = _sample_pool(g, 60, rng)
     triples = pool[rng.integers(0, len(pool), size=(10, 3))].tolist()
-    fields = {u: g.node_field(u) for u in set(pool.tolist())}
+    fields = {u: full_sweep(g, u) for u in set(pool.tolist())}
     # each side's length is the full sweep's float from its (delta, id)-first end
     caps = [0.5 * fields[x][y] * (1 + 1e-9)
             for a, b, c in triples for side in ((a, b), (a, c), (b, c))

@@ -36,7 +36,7 @@ def test_ladder_limits_within_path_through_x0(name, monkeypatch):
     # each ladder sweep from x_k stops at the tree bound to y_k, never above
     # the path through x0's node, f[x_k] + f[y_k] + 2 stub, with its slack
     bounds, limits = [], []
-    real_bound, real_sweep = Basepoint.tree_bound, GridGraph.node_field_with_pred
+    real_bound, real_sweep = Basepoint.tree_bound, GridGraph.basepoint
 
     def tree_bound(bp, u, v):
         out = real_bound(bp, u, v)
@@ -44,12 +44,13 @@ def test_ladder_limits_within_path_through_x0(name, monkeypatch):
         bounds.append((out, (f[u] + f[v] + 2 * bp.stub) * (1 + 1e-9)))
         return out
 
-    def node_field_with_pred(g, node, limit=np.inf):
-        limits.append(limit)
-        return real_sweep(g, node, limit)
+    def basepoint(g, x0, limit=np.inf):
+        if np.isfinite(limit):  # a ladder sweep, not x0's own
+            limits.append(limit)
+        return real_sweep(g, x0, limit)
 
     monkeypatch.setattr(Basepoint, "tree_bound", tree_bound)
-    monkeypatch.setattr(GridGraph, "node_field_with_pred", node_field_with_pred)
+    monkeypatch.setattr(GridGraph, "basepoint", basepoint)
     run_suite(name)
     assert len(limits) == SWEEPS[name] - 1
     assert limits == [b for b, _ in bounds]

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 from scipy.sparse import csgraph
 
-from conftest import fresh_graph, sample_interior
+from conftest import fresh_graph, full_sweep, sample_interior
 import qhgeo
 from qhgeo import GridParams, build_grid, compile_domain, gromov_product
 from qhgeo import grid as grid_module
 from qhgeo.curves import ArcPiece, SegPiece, pieces_distance
-from qhgeo.errors import (DomainError, InternalInvariantError, ResolutionError,
-                          UnreachableError)
+from qhgeo.errors import (ConstraintError, DomainError, InternalInvariantError,
+                          ResolutionError, UnreachableError)
 from qhgeo.geometry import as_point
 from qhgeo.grid import _ball_certified, _fork_map
 from qhgeo.suites import load_suite_params
@@ -275,7 +275,7 @@ def test_screened_delta_is_exact(spec, h, layers, monkeypatch):
 
 def test_multi_source_field_is_min_of_node_fields(slit_grid):
     nodes = [0, 5, slit_grid.node_count // 2, slit_grid.node_count - 1]
-    rows = np.vstack([slit_grid.node_field(u) for u in nodes])
+    rows = np.vstack([full_sweep(slit_grid, u) for u in nodes])
     want = rows.min(axis=0)
     assert slit_grid.multi_source_field(nodes).tobytes() == want.tobytes()
     # a limit turns the far nodes into inf and leaves the near ones exact
@@ -298,9 +298,11 @@ def test_qh_distances_matches_qh_distance(disk128):
     assert 0.0 < k[1, 4] == want[1, 4]
 
 
-def test_node_field_with_pred(disk128):
+def test_node_basepoint_pred_walks_to_node(disk128):
     u = disk128.attach((0.0, 0.0))[0]
-    dist, pred = disk128.node_field_with_pred(u)
+    bp = disk128.basepoint(u)
+    dist, pred = bp.field, bp.pred
+    assert pred.tobytes() == full_sweep(disk128, u, predecessors=True)[1].tobytes()
     v = disk128.attach((0.5, 0.0))[0]
     assert dist[v] > 0.0
     # predecessor chain walks back to the source
@@ -335,8 +337,8 @@ def test_unreachable_components():
 # -- node distance matrix -----------------------------------------------------
 
 def _brute_matrix(g, nodes):
-    """Full node_field sweeps, each entry from the (delta, id)-first endpoint."""
-    fields = {u: g.node_field(u) for u in set(nodes)}
+    """Full sweeps, each entry from the (delta, id)-first endpoint."""
+    fields = {u: full_sweep(g, u) for u in set(nodes)}
 
     def entry(u, v):
         first, other = sorted((u, v), key=lambda w: (g.deltas[w], w))
@@ -381,7 +383,7 @@ def test_node_distance_matrix_sweeps_stop_at_hub_bound(disk128, sweeps):
     limits = sweeps[1:]  # after the hub field
     src = sorted(set(nodes.tolist()), key=lambda u: (g.deltas[u], u))
     assert len(limits) == len(src) - 1
-    hub = g.node_field(g._hub)[src]
+    hub = full_sweep(g, g._hub)[src]
     for r, limit in enumerate(limits):
         assert limit == (hub[r] + hub[r + 1:]).max() * (1 + 1e-9)
 
@@ -883,7 +885,7 @@ def test_first_sweep_from_hub_is_kept(disk64, sweeps):
     assert sweeps[1] == np.inf and np.isfinite(sweeps[2]) and len(sweeps) == 3
     hub = g._hub_fields[False][0]
     assert not hub.flags.writeable
-    assert hub.tobytes() == g.node_field(np.argmax(g.deltas)).tobytes()
+    assert hub.tobytes() == full_sweep(g, np.argmax(g.deltas)).tobytes()
     del sweeps[:]
     assert g.basepoint(centre).field is hub and sweeps == []
 
@@ -929,23 +931,50 @@ def test_hub_bound_too_small_raises(disk64, monkeypatch):
                                          ("comb_grid", "comb_domain")])
 def test_basepoint_is_one_plain_sweep(grid, domain, request):
     # a predecessor sweep gives the plain sweep's field bit for bit, so a
-    # Basepoint carries the floats node_field and dist_field give
+    # Basepoint, from a point or a node id, carries a full sweep's floats,
+    # and dist_field adds the stub; cut at a limit, the nodes it reaches
+    # keep those floats and predecessors
     g = request.getfixturevalue(grid)
     for u in (0, g.node_count // 2, g.node_count - 1):
-        assert g.node_field_with_pred(u)[0].tobytes() == g.node_field(u).tobytes()
+        bp = g.basepoint(u)
+        dist, pred = full_sweep(g, u, predecessors=True)
+        assert bp.field.tobytes() == full_sweep(g, u).tobytes() == dist.tobytes()
+        assert bp.pred.tobytes() == pred.tobytes()
+        assert (bp.node, bp.stub, bp.point) == (u, 0.0, as_point(g.centers[u]))
+        limit = float(np.median(dist[np.isfinite(dist)]))
+        cut = g.basepoint(u, limit)
+        reached = np.isfinite(cut.field)
+        assert cut.field[reached].tobytes() == dist[reached].tobytes()
+        assert (cut.pred[reached] == pred[reached]).all()
+        assert (dist[~reached] > limit).all() and (~reached).any()
+        v = int(np.flatnonzero(reached)[np.argmax(cut.field[reached])])
+        walk = [v]
+        while walk[-1] != u:
+            walk.append(int(pred[walk[-1]]))
+        assert cut.path(v) == bp.path(v) == walk[::-1] and bp.path(u) == [u]
+    for bad in (-1, g.node_count):
+        with pytest.raises(ConstraintError):
+            g.basepoint(bad)
+    # at the hub a full sweep is the hub field; a limited one leaves the cache
+    h = fresh_graph(g)
+    hub = full_sweep(h, h._hub)
+    cut = h.basepoint(h._hub, float(np.median(hub[np.isfinite(hub)])))
+    assert h._hub_fields == {} and np.isinf(cut.field).any()
+    full = h.basepoint(h._hub)
+    assert h._hub_fields[False][0] is full.field and h._hub_fields[False][1] is full.pred
     x0 = sample_interior(request.getfixturevalue(domain), 1, seed=4, min_delta=0.05)[0]
     bp = g.basepoint(x0)
     node, stub, _ = g.attach(x0)
     assert bp.point == as_point(x0) and (bp.node, bp.stub) == (node, stub)
-    dist, pred = g.node_field_with_pred(node)
-    assert bp.field.tobytes() == g.node_field(node).tobytes() == dist.tobytes()
+    dist, pred = full_sweep(g, node, predecessors=True)
+    assert bp.field.tobytes() == full_sweep(g, node).tobytes() == dist.tobytes()
     assert bp.pred.tobytes() == pred.tobytes()
     for a in (bp.field, bp.pred):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0
     assert g.basepoint(bp) is bp
-    assert g.dist_field(x0).tobytes() == (dist + stub).tobytes()
+    assert qhgeo.dist_field(g, x0).tobytes() == (dist + stub).tobytes()
 
 
 def _hand_tree():
@@ -988,7 +1017,7 @@ def test_tree_bound_brackets_distance(grid, domain, x0, request):
     nodes = np.flatnonzero(g.labels == g.labels[bp.node])
     rng = np.random.default_rng(3)
     for u in rng.choice(nodes, 20, replace=False):
-        k = g.node_field(u)
+        k = full_sweep(g, u)
         for v in rng.choice(nodes, 10, replace=False):
             bound = bp.tree_bound(u, v)
             assert k[v] <= bound <= (f[u] + f[v]) * (1 + 1e-9)
@@ -1003,7 +1032,7 @@ def test_basepoint_at_hub_is_hub_field(disk64, sweeps):
     bp = g.basepoint(centre)
     assert bp.node == np.argmax(g.deltas) and sweeps == [np.inf]
     assert g._hub_fields[False][0] is bp.field and g._hub_fields[False][1] is bp.pred
-    assert g.dist_field(centre).tobytes() == (bp.field + bp.stub).tobytes()
+    assert qhgeo.dist_field(g, centre).tobytes() == (bp.field + bp.stub).tobytes()
     k = g.qh_distance(centre, (0.5, 0.1))
     path = g.qh_geodesic(centre, (0.5, 0.1))
     g.qh_distance((0.1, 0.2), (-0.4, 0.3))
