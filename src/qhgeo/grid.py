@@ -85,7 +85,23 @@ from a hub field f: one full sweep, per metric, from the hub, the deepest
 node (lowest id on a tie). min_i (s_i + f[u_i]) + max_j f[v_j] bounds
 every d(n, v_j), so a sweep cut there times (1 + 1e-9) gives the full
 sweep's floats. f is built at a metric's second point-to-point sweep, so a
-one-shot query pays for no bound; across components f and the limit are inf.
+one-shot query builds no field; across components f and the limit are inf.
+
+A point query first tries a guessed limit, often far below the hub bound.
+When the segment from the swept end x to y stays inside (domain.crossings),
+the guess is L = _GUESS * its length: its qh length (paths.qh_length) or,
+in the inner metric, |x - y|; qh_distances takes its longest segment. In a
+convex domain the segment's qh length is at least the continuous k
+(Gehring-Osgood), and the 8-neighbour stencil stretches a straight path by
+at most 1/cos(pi/8) ~ 1.082, so _GUESS = 1.1 leaves a margin. When L is
+below the hub bound the sweep first stops at L, and its field is kept when
+every target point has a candidate within it, min_j (D[v_j] + t_j) <= L:
+an unreached v_j has D > L, so the distance, the chosen candidate and the
+chain are the hub-bound sweep's bit for bit. Otherwise the guess missed
+and the hub-bound sweep runs, as it does when there is no guess. L is
+capped by the hub bound, since near the rim the chord can be longer than
+the path through the centre. A one-shot query sweeps once, at L, unless
+the guess misses.
 
 The diagnostics that measure k(x0, .) from a fixed basepoint (John, QHBC,
 growth, the scale-ladder probes) take x0 as a point or as a Basepoint: x0,
@@ -135,13 +151,18 @@ from .domains import Domain, FootFingersSpec, foot_fingers_layout
 from .errors import (ConstraintError, DomainError, InternalInvariantError,
                      ResolutionError, UnreachableError)
 from .geometry import Point2, as_point
-from .paths import PathPolyline
+from .paths import PathPolyline, qh_length
 
 _NO_PRED = -9999  # scipy's "no predecessor" sentinel
 _BLOCK = 1 << 14  # rows per block of a pass over the weight entries
 _CANDIDATES = 4  # candidates per end that a point query pairs up
 _ATTACH_REACH = 64  # nodes a point's search covers before it may give up
 _KEY_BITS = 29  # bits per lattice coordinate in a node key
+# a point query's first sweep stops at this multiple of the straight
+# segment's length: the 8-neighbour stencil stretches a straight line by at
+# most 1/cos(pi/8) ~ 1.082, and the rest is margin for the stubs and the
+# trapezoid weights
+_GUESS = 1.1
 # processes _fork_map spreads independent sweeps over: the CPUs this
 # process may run on
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -275,11 +296,16 @@ class GridGraph:
     """Immutable weighted grid graph over a compiled domain.
 
     The graph never changes after the build. Its mutable state is the
-    spare row of each weight matrix, rewritten by every point query, and
-    two lazy caches: at most two hub fields, one per metric, each with its
-    predecessors, that bound the point-to-point sweeps, and the Euclidean
-    weight matrix csr_euc, built by the first inner-metric query (see the
-    module docstring).
+    spare row of each weight matrix, rewritten by every point query, the
+    sweep counts, and two lazy caches: at most two hub fields, one per
+    metric, each with its predecessors, that bound the point-to-point
+    sweeps, and the Euclidean weight matrix csr_euc, built by the first
+    inner-metric query (see the module docstring).
+
+    sweep_counts counts this graph's sweeps by kind (full, limited,
+    min_only) and the point queries' guessed limits that missed. It never
+    enters a report, and a _fork_map worker's sweeps are counted in the
+    worker's copy of the graph, so they do not reach it.
 
     weights is the qh weight matrix with its spare row; csr_qh is its n x n
     block, on views of its arrays.
@@ -326,8 +352,9 @@ class GridGraph:
         self._cells = [h / (1 << k) for k in range(int(params.boundary_layer) + 1)]
         self._hub = int(np.argmax(deltas))
         # inner -> read-only (hub field, predecessors); None from the metric's
-        # first, unbounded point-to-point sweep until the field is built
+        # first point-to-point sweep until the field is built
         self._hub_fields: dict[bool, tuple[np.ndarray, np.ndarray] | None] = {}
+        self.sweep_counts = dict.fromkeys(("full", "limited", "min_only", "missed"), 0)
 
     @property
     def csr_euc(self):
@@ -416,6 +443,8 @@ class GridGraph:
     def _sweep(self, weights, sources, *, predecessors: bool = False,
                min_only: bool = False, limit: float = np.inf):
         """The one Dijkstra call every distance, geodesic and field goes through."""
+        kind = "min_only" if min_only else "limited" if limit < np.inf else "full"
+        self.sweep_counts[kind] += 1
         return csgraph.dijkstra(weights, directed=True, indices=sources,
                                 return_predecessors=predecessors,
                                 min_only=min_only, limit=limit)
@@ -447,11 +476,34 @@ class GridGraph:
         f = self._hub_field(inner)[0]
         return float((stubs + f[nodes]).min() + f[targets].max()) * (1 + 1e-9)
 
-    def _reach(self, inner: bool, u, targets, predecessors: bool = False, stubs=0.0):
+    def _guess(self, inner: bool, x: Point2, ys) -> float:
+        """_GUESS times the longest segment from x to the ys; inf if one crosses.
+
+        A segment's length is its qh length (paths.qh_length), or its
+        Euclidean one in the inner metric.
+        """
+        pts = np.array([[p.x, p.y] for p in (x, *ys)])
+        if self.domain.crossings(np.repeat(pts[:1], len(ys), axis=0), pts[1:]).any():
+            return np.inf
+        if inner:
+            return _GUESS * float(np.hypot(*(pts[1:] - pts[0]).T).max())
+        d = self.domain.delta_many(pts)
+        return _GUESS * max(qh_length(self.domain, PathPolyline(pts[[0, j]], d[[0, j]]))
+                            for j in range(1, len(pts)))
+
+    def _reach(self, inner: bool, u, targets, predecessors: bool = False, stubs=0.0,
+               ends=None):
         """A sweep from spare row n, joined to node(s) u by stubs, to the targets.
 
         Its fields are n + 1 long. It stops at the hub bound, which every
-        target that shares a component with some u must be within.
+        target that shares a component with some u must be within. A point
+        query passes ends, (x, [(y, nodes, stubs), ...]): its swept point
+        and each target point with its candidates. When the guess L from x
+        to the ys (_guess) is below the hub bound, the sweep first stops at
+        L, and that field is kept when each y has a candidate within L,
+        min_j (D[v_j] + t_j) <= L: an unreached v_j has D > L, so the
+        distance, its argmin and its chain are the hub-bound sweep's.
+        Otherwise the guess missed, and the hub-bound sweep runs.
         """
         nodes, stubs = np.broadcast_arrays(np.atleast_1d(u), stubs)
         self._metric(inner)  # the Euclidean spare row comes with csr_euc
@@ -459,8 +511,15 @@ class GridGraph:
         fill = np.minimum(np.arange(_CANDIDATES), len(nodes) - 1)
         weights.indices[-_CANDIDATES:] = nodes[fill]
         weights.data[-_CANDIDATES:] = stubs[fill]
-        out = self._sweep(weights, self.node_count, predecessors=predecessors,
-                          limit=self._hub_limit(inner, nodes, stubs, targets))
+        limit = self._hub_limit(inner, nodes, stubs, targets)
+        guess = np.inf if ends is None else self._guess(inner, ends[0], [y for y, *_ in ends[1]])
+        if guess < limit:
+            out = self._sweep(weights, self.node_count, predecessors=predecessors, limit=guess)
+            dist = out[0] if predecessors else out
+            if all((dist[v] + t).min() <= guess for _, v, t in ends[1]):
+                return out
+            self.sweep_counts["missed"] += 1
+        out = self._sweep(weights, self.node_count, predecessors=predecessors, limit=limit)
         dist = out[0] if predecessors else out
         linked = np.isin(self.labels[targets], self.labels[nodes])
         if not np.isfinite(dist[targets][linked]).all():
@@ -486,9 +545,10 @@ class GridGraph:
             return 0.0, self._polyline(px, py, None) if geodesic else None
         k, cx, cy = self._metric(inner)[1], self._candidates(px), self._candidates(py)
         flip = self._end_key(cy[0][0], py.x, py.y) < self._end_key(cx[0][0], px.x, px.y)
-        src, dst = (cy, cx) if flip else (cx, cy)
+        (ps, src), (pt, dst) = ((py, cy), (px, cx)) if flip else ((px, cx), (py, cy))
         self._check_component(src[0], dst[0])
-        out = self._reach(inner, src[0], dst[0], geodesic, src[k])
+        out = self._reach(inner, src[0], dst[0], geodesic, src[k],
+                          ends=(ps, [(pt, dst[0], dst[k])]))
         totals = (out[0] if geodesic else out)[dst[0]] + dst[k]
         j = int(np.argmin(totals))
         if not geodesic:
@@ -555,7 +615,8 @@ class GridGraph:
                 self._check_component(nodes, t_cand[j][0])
             if cols:
                 dist = self._reach(False, nodes, np.concatenate([t_cand[j][0] for j in cols]),
-                                   stubs=stubs)
+                                   stubs=stubs, ends=(ps, [(tgts[j], *t_cand[j][:2])
+                                                           for j in cols]))
                 out[i, cols] = [(dist[t_cand[j][0]] + t_cand[j][1]).min() for j in cols]
                 del dist
         return out

@@ -258,9 +258,10 @@ def test_thin_triangle_runs_are_hub_bounded(disk128, sweeps, monkeypatch):
     real = g._reach
     runs = []
 
-    def spy(inner, u, targets, predecessors=False):
+    def spy(inner, u, targets, predecessors=False, stubs=0.0, ends=None):
+        assert ends is None  # node ends: no guessed limit
         start = len(sweeps)
-        out = real(inner, u, targets, predecessors)
+        out = real(inner, u, targets, predecessors, stubs, ends)
         runs.append(sweeps[start:])
         return out
 

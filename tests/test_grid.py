@@ -18,6 +18,7 @@ from qhgeo.errors import (ConstraintError, DomainError, InternalInvariantError,
                           ResolutionError, UnreachableError)
 from qhgeo.geometry import as_point
 from qhgeo.grid import _ball_certified, _fork_map
+from qhgeo.paths import PathPolyline, qh_length
 from qhgeo.suites import load_suite_params
 
 
@@ -758,9 +759,19 @@ def _mirror_pairs(domain, n, seed):
     return pairs
 
 
+def _full(query, g, *args):
+    """query(h, *args) on a fresh copy h of g with no guessed limit.
+
+    h has no hub field, so its first sweep runs in full.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid_module, "_GUESS", np.inf)
+        return query(fresh_graph(g), *args)
+
+
 def _full_k(g, x, y, inner=False):
-    """k(x, y) as one full sweep gives it: a fresh graph's first query."""
-    return fresh_graph(g)._distance(x, y, inner)
+    """k(x, y) as one full sweep gives it: a fresh graph's first, unguessed query."""
+    return _full(qhgeo.GridGraph._distance, g, x, y, inner)
 
 
 @pytest.mark.parametrize("grid,domain", [("disk128", "disk_domain"),
@@ -822,9 +833,9 @@ def test_pairs_swept_from_first_end(grid, domain, request, monkeypatch, sweeps):
     g.qh_distance(*pairs[1])  # builds the qh hub field
     real, starts = g._reach, []
 
-    def spy(inner, u, targets, predecessors=False, stubs=0.0):
+    def spy(inner, u, targets, predecessors=False, stubs=0.0, ends=None):
         starts.append(int(np.atleast_1d(u)[0]))
-        return real(inner, u, targets, predecessors, stubs)
+        return real(inner, u, targets, predecessors, stubs, ends)
 
     monkeypatch.setattr(g, "_reach", spy)
     for x, y in pairs:
@@ -858,10 +869,19 @@ def test_hub_bound_keeps_geodesics(grid, domain, request):
         assert all(h._hub_fields[inner] is not None for inner in (False, True))
 
 
-def test_hub_field_sweep_counts(disk64, sweeps):
+def _guess(domain, x, y, inner=False):
+    """The guessed limit for a sweep from x to y: _GUESS times the segment's length."""
+    seg = PathPolyline.from_domain(domain, [x, y])
+    length = seg.euclidean_length if inner else qh_length(domain, seg)
+    return grid_module._GUESS * length
+
+
+def test_hub_field_sweep_counts(disk64, disk_domain, sweeps):
+    # the first query stops at its guess; the second builds the hub field
     g = fresh_graph(disk64)
     g.qh_distance((0.1, 0.2), (-0.4, 0.3))
-    assert sweeps == [np.inf]
+    assert sweeps == [_guess(disk_domain, (-0.4, 0.3), (0.1, 0.2))]
+    assert g._hub_fields[False] is None
     g.qh_distance((0.5, 0.1), (-0.2, -0.6))
     assert sweeps[1] == np.inf and np.isfinite(sweeps[2]) and len(sweeps) == 3
     g.qh_distances([(0.3, -0.3)], [(0.0, 0.7), (-0.7, 0.0)])
@@ -870,17 +890,20 @@ def test_hub_field_sweep_counts(disk64, sweeps):
     assert not hub.flags.writeable and hub[np.argmax(g.deltas)] == 0.0
     # the Euclidean metric has its own field, built at its own second sweep
     g.inner_distance((0.1, 0.2), (-0.4, 0.3))
-    assert sweeps[4] == np.inf and len(sweeps) == 5 and g._hub_fields[True] is None
+    assert sweeps[4] == _guess(disk_domain, (-0.4, 0.3), (0.1, 0.2), inner=True)
+    assert len(sweeps) == 5 and g._hub_fields[True] is None
+    assert g.sweep_counts == {"full": 1, "limited": 4, "min_only": 0, "missed": 0}
 
 
 def test_first_sweep_from_hub_is_kept(disk64, sweeps):
     # a point query at the hub sweeps from the spare row, not from the hub,
-    # so its first, full sweep is not the hub field; the second query builds
-    # the field, which is then kept: a basepoint at the hub reads it
+    # so its first sweep, cut at the guess, is not the hub field; the second
+    # query builds the field, which is then kept: a basepoint at the hub
+    # reads it
     g = fresh_graph(disk64)
     centre = tuple(g.centers[np.argmax(g.deltas)])
     k = g.qh_distance(centre, (0.5, 0.1))
-    assert sweeps == [np.inf] and g._hub_fields[False] is None
+    assert len(sweeps) == 1 and np.isfinite(sweeps[0]) and g._hub_fields[False] is None
     assert g.qh_distance((0.5, 0.1), centre) == k
     assert sweeps[1] == np.inf and np.isfinite(sweeps[2]) and len(sweeps) == 3
     hub = g._hub_fields[False][0]
@@ -891,7 +914,8 @@ def test_first_sweep_from_hub_is_kept(disk64, sweeps):
 
 
 def test_hub_in_other_component(sweeps):
-    # the hub lies in the lower half, so upper-half queries run in full
+    # the hub lies in the lower half, so upper-half queries have no hub
+    # bound: they stop at their guess alone
     g = _split_disk()
     x, y = (0.3, 0.5), (-0.4, 0.2)
     want = _full_k(g, x, y)
@@ -901,7 +925,7 @@ def test_hub_in_other_component(sweeps):
     assert g.labels[hub] != g.labels[g.attach(x)[0]]
     del sweeps[:]
     assert g.qh_distance(x, y) == want
-    assert sweeps == [np.inf]
+    assert sweeps == [_guess(g.domain, y, x)]
     # in the hub's half the bound applies
     x, y = (0.3, -0.5), (-0.4, -0.2)
     want = _full_k(g, x, y)
@@ -922,6 +946,102 @@ def test_hub_bound_too_small_raises(disk64, monkeypatch):
         g.qh_geodesic((0.1, 0.2), (-0.4, 0.3))
     with pytest.raises(InternalInvariantError):
         g.qh_distances([(0.1, 0.2)], [(-0.4, 0.3)])
+
+
+# -- guessed limits on point queries ------------------------------------------
+
+def _same_path(path, want):
+    return (path.points.tobytes() == want.points.tobytes()
+            and path.deltas.tobytes() == want.deltas.tobytes())
+
+
+@pytest.mark.parametrize("grid", ["disk64", "disk128"])
+def test_guessed_sweeps_are_exact(grid, disk_domain, request, monkeypatch):
+    # each query's first sweep stops at its guess, before and after the hub
+    # fields exist, and every float and chain is the full sweep's
+    g = fresh_graph(request.getfixturevalue(grid))
+    real, guesses = g._guess, []
+
+    def spy(*args):
+        guesses.append(real(*args))
+        return guesses[-1]
+
+    monkeypatch.setattr(g, "_guess", spy)
+    pts = sample_interior(disk_domain, 12, seed=29, min_delta=0.005)
+    for i, (x, y) in enumerate(zip(pts[0::2], pts[1::2])):
+        assert g.qh_distance(x, y).hex() == _full_k(g, x, y).hex()
+        if i == 0:  # a one-shot query sweeps once, at its guess
+            assert g.sweep_counts == {"full": 0, "limited": 1, "min_only": 0, "missed": 0}
+        assert g.inner_distance(x, y).hex() == _full_k(g, x, y, inner=True).hex()
+        for query in (qhgeo.GridGraph.qh_geodesic, qhgeo.GridGraph.inner_geodesic):
+            assert _same_path(query(g, x, y), _full(query, g, x, y))
+    rows = g.qh_distances(pts[:2], pts[2:])
+    want = [_full(qhgeo.GridGraph.qh_distances, g, [s], pts[2:])[0] for s in pts[:2]]
+    assert rows.tobytes() == np.array(want).tobytes()
+    for o, x, y in zip(pts[0::3], pts[1::3], pts[2::3]):
+        want = 0.5 * (_full_k(g, o, x) + _full_k(g, o, y) - _full_k(g, x, y))
+        assert gromov_product(g, o, x, y).hex() == want.hex()
+    # the disk is convex: every query has a guess, and none missed
+    assert len(guesses) == 6 * 4 + 2 + 4 * 2 and np.isfinite(guesses).all()
+    assert g.sweep_counts["missed"] == 0 and g.sweep_counts["full"] == 2
+
+
+def test_no_guess_where_the_segment_crosses(comb_grid, comb_domain):
+    # between two teeth the segment crosses a slit, so there is no guess:
+    # the first query runs in full and later ones stop at the hub bound
+    g = fresh_graph(comb_grid)
+    x, y = (0.3, 0.2), (0.7, 0.2)
+    assert comb_domain.crossings(np.array([x]), np.array([y])).all()
+    assert g.qh_distance(x, y).hex() == _full_k(g, x, y).hex()
+    assert g.sweep_counts == {"full": 1, "limited": 0, "min_only": 0, "missed": 0}
+    assert _same_path(g.qh_geodesic(x, y), _full(qhgeo.GridGraph.qh_geodesic, g, x, y))
+    assert g.inner_distance(x, y).hex() == _full_k(g, x, y, inner=True).hex()
+    assert g.sweep_counts == {"full": 3, "limited": 1, "min_only": 0, "missed": 0}
+    # within one gap between teeth the segment stays inside: guessed, exact
+    x, y = (0.6, 0.1), (0.9, 0.4)
+    assert g.qh_distance(x, y).hex() == _full_k(g, x, y).hex()
+    assert _same_path(g.qh_geodesic(x, y), _full(qhgeo.GridGraph.qh_geodesic, g, x, y))
+    assert g.sweep_counts == {"full": 3, "limited": 3, "min_only": 0, "missed": 0}
+
+
+def test_guess_in_other_component():
+    # the hub lies in the lower half, so an upper-half query is bounded by
+    # its guess alone; its floats and chains are still the full sweep's
+    g = _split_disk()
+    for x, y in (((0.1, -0.6), (-0.1, -0.4)), ((0.2, -0.7), (-0.2, -0.3))):
+        g.qh_distance(x, y)
+        g.inner_distance(x, y)
+    x, y = (0.3, 0.5), (-0.4, 0.2)
+    assert g.labels[g._hub] != g.labels[g.attach(x)[0]]
+    assert g.qh_distance(x, y).hex() == _full_k(g, x, y).hex()
+    assert g.inner_distance(x, y).hex() == _full_k(g, x, y, inner=True).hex()
+    for query in (qhgeo.GridGraph.qh_geodesic, qhgeo.GridGraph.inner_geodesic):
+        assert _same_path(query(g, x, y), _full(query, g, x, y))
+    assert g.sweep_counts == {"full": 2, "limited": 8, "min_only": 0, "missed": 0}
+
+
+def test_missed_guess_falls_back(disk64, monkeypatch):
+    # at half the segment's length the guess misses: each query runs one
+    # extra sweep, the hub-bound one, and gives the same floats and chains
+    x, y, z = (0.1, 0.2), (-0.4, 0.3), (0.5, -0.2)
+    queries = [lambda h: h.qh_distance(x, y), lambda h: h.qh_geodesic(x, y),
+               lambda h: h.inner_distance(x, y), lambda h: h.inner_geodesic(y, z),
+               lambda h: h.qh_distances([z], [x, y]), lambda h: gromov_product(h, x, y, z)]
+    g, forced = fresh_graph(disk64), fresh_graph(disk64)
+    for i, query in enumerate(queries):
+        want = query(g)
+        with monkeypatch.context() as mp:
+            mp.setattr(grid_module, "_GUESS", 0.5)
+            got = query(forced)
+        if isinstance(want, qhgeo.PathPolyline):
+            assert _same_path(got, want)
+        else:
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        missed = 2 + i if i == 5 else 1 + i  # gromov_product runs two sweeps
+        assert forced.sweep_counts["missed"] == missed
+        assert (sum(forced.sweep_counts.values()) - missed
+                == sum(g.sweep_counts.values()) + missed)
+    assert g.sweep_counts["missed"] == 0
 
 
 # -- basepoints ---------------------------------------------------------------
