@@ -869,7 +869,7 @@ def test_hub_bound_keeps_geodesics(grid, domain, request):
         assert all(h._hub_fields[inner] is not None for inner in (False, True))
 
 
-def _guess(domain, x, y, inner=False):
+def _guess_limit(domain, x, y, inner=False):
     """The guessed limit for a sweep from x to y: _GUESS times the segment's length."""
     seg = PathPolyline.from_domain(domain, [x, y])
     length = seg.euclidean_length if inner else qh_length(domain, seg)
@@ -880,7 +880,7 @@ def test_hub_field_sweep_counts(disk64, disk_domain, sweeps):
     # the first query stops at its guess; the second builds the hub field
     g = fresh_graph(disk64)
     g.qh_distance((0.1, 0.2), (-0.4, 0.3))
-    assert sweeps == [_guess(disk_domain, (-0.4, 0.3), (0.1, 0.2))]
+    assert sweeps == [_guess_limit(disk_domain, (-0.4, 0.3), (0.1, 0.2))]
     assert g._hub_fields[False] is None
     g.qh_distance((0.5, 0.1), (-0.2, -0.6))
     assert sweeps[1] == np.inf and np.isfinite(sweeps[2]) and len(sweeps) == 3
@@ -890,7 +890,7 @@ def test_hub_field_sweep_counts(disk64, disk_domain, sweeps):
     assert not hub.flags.writeable and hub[np.argmax(g.deltas)] == 0.0
     # the Euclidean metric has its own field, built at its own second sweep
     g.inner_distance((0.1, 0.2), (-0.4, 0.3))
-    assert sweeps[4] == _guess(disk_domain, (-0.4, 0.3), (0.1, 0.2), inner=True)
+    assert sweeps[4] == _guess_limit(disk_domain, (-0.4, 0.3), (0.1, 0.2), inner=True)
     assert len(sweeps) == 5 and g._hub_fields[True] is None
     assert g.sweep_counts == {"full": 1, "limited": 4, "min_only": 0, "missed": 0}
 
@@ -925,7 +925,7 @@ def test_hub_in_other_component(sweeps):
     assert g.labels[hub] != g.labels[g.attach(x)[0]]
     del sweeps[:]
     assert g.qh_distance(x, y) == want
-    assert sweeps == [_guess(g.domain, y, x)]
+    assert sweeps == [_guess_limit(g.domain, y, x)]
     # in the hub's half the bound applies
     x, y = (0.3, -0.5), (-0.4, -0.2)
     want = _full_k(g, x, y)
@@ -1018,6 +1018,29 @@ def test_guess_in_other_component():
     for query in (qhgeo.GridGraph.qh_geodesic, qhgeo.GridGraph.inner_geodesic):
         assert _same_path(query(g, x, y), _full(query, g, x, y))
     assert g.sweep_counts == {"full": 2, "limited": 8, "min_only": 0, "missed": 0}
+
+
+def test_guess_past_a_worse_candidate_misses(disk64, disk_domain, monkeypatch):
+    # a guess that reaches some candidate of y but not its best one must
+    # miss: the candidates it reached give a larger total than k
+    pts = sample_interior(disk_domain, 40, seed=3, min_delta=0.01)
+    cases = 0
+    for x, y in zip(pts[0::2], pts[1::2]):
+        h = fresh_graph(disk64)
+        (s, cs), (t, ct) = sorted([(x, h._candidates(x)), (y, h._candidates(y))],
+                                  key=lambda end: h._end_key(end[1][0][0], *end[0]))
+        d = h._reach(False, cs[0], ct[0], stubs=cs[1])[ct[0]]  # no ends: in full
+        best = np.argmin(d + ct[1])
+        if not (d < d[best]).any():
+            continue
+        cases += 1
+        cut = (d[d < d[best]].max() + d[best]) / 2
+        length = h._guess(False, as_point(s), [as_point(t)]) / grid_module._GUESS
+        with monkeypatch.context() as mp:
+            mp.setattr(grid_module, "_GUESS", cut / length)
+            assert h.qh_distance(x, y) == _full_k(disk64, x, y)
+        assert h.sweep_counts["missed"] == 1
+    assert cases >= 2
 
 
 def test_missed_guess_falls_back(disk64, monkeypatch):
