@@ -163,6 +163,11 @@ _KEY_BITS = 29  # bits per lattice coordinate in a node key
 # most 1/cos(pi/8) ~ 1.082, and the rest is margin for the stubs and the
 # trapezoid weights
 _GUESS = 1.1
+_SPAN = 32  # consecutive node ids per box of the ellipse test's summary
+# a qh point query whose ellipse boxes hold more than this share of the
+# nodes sweeps the whole matrix: copying the rows would cost more than it saves
+_PRUNE_MAX = 0.6
+_COPY_ROWS = 4096  # rows per chunk of an induced subgraph's copy
 # processes _fork_map spreads independent sweeps over: the CPUs this
 # process may run on
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -354,7 +359,9 @@ class GridGraph:
         # inner -> read-only (hub field, predecessors); None from the metric's
         # first point-to-point sweep until the field is built
         self._hub_fields: dict[bool, tuple[np.ndarray, np.ndarray] | None] = {}
-        self.sweep_counts = dict.fromkeys(("full", "limited", "min_only", "missed"), 0)
+        self._boxes = None  # the ellipse test's box summary, built on first use
+        self.sweep_counts = dict.fromkeys(
+            ("full", "limited", "pruned", "min_only", "missed"), 0)
 
     @property
     def csr_euc(self):
@@ -441,9 +448,13 @@ class GridGraph:
     # -- shortest paths ---------------------------------------------------
 
     def _sweep(self, weights, sources, *, predecessors: bool = False,
-               min_only: bool = False, limit: float = np.inf):
-        """The one Dijkstra call every distance, geodesic and field goes through."""
-        kind = "min_only" if min_only else "limited" if limit < np.inf else "full"
+               min_only: bool = False, limit: float = np.inf, pruned: bool = False):
+        """The one Dijkstra call every distance, geodesic and field goes through.
+
+        pruned marks a sweep of an induced subgraph (_pruned), counted apart.
+        """
+        kind = ("pruned" if pruned else "min_only" if min_only
+                else "limited" if limit < np.inf else "full")
         self.sweep_counts[kind] += 1
         return csgraph.dijkstra(weights, directed=True, indices=sources,
                                 return_predecessors=predecessors,
@@ -457,62 +468,199 @@ class GridGraph:
                 "or check that the domain is connected")
 
     def _metric(self, inner: bool):
-        """(edge weights, index of the matching stub in attach's result)."""
-        return (self.csr_euc, 2) if inner else (self.csr_qh, 1)
+        """The metric's n x n edge weights: csr_euc or csr_qh."""
+        return self.csr_euc if inner else self.csr_qh
 
     def _hub_field(self, inner: bool) -> tuple[np.ndarray, np.ndarray]:
         """The metric's (hub field, predecessors), swept in full on first use."""
         hub = self._hub_fields.get(inner)
         if hub is None:
             hub = self._hub_fields[inner] = _read_only(*self._sweep(
-                self._metric(inner)[0], self._hub, predecessors=True, limit=np.inf))
+                self._metric(inner), self._hub, predecessors=True, limit=np.inf))
         return hub
 
-    def _hub_limit(self, inner: bool, nodes, stubs, targets) -> float:
-        """The hub bound from nodes, entered at stubs, to targets; inf at first."""
+    def _hub_once(self, inner: bool) -> np.ndarray | None:
+        """The metric's hub field; None at the first call, which marks the metric."""
         if inner not in self._hub_fields:
             self._hub_fields[inner] = None
-            return np.inf
-        f = self._hub_field(inner)[0]
-        return float((stubs + f[nodes]).min() + f[targets].max()) * (1 + 1e-9)
+            return None
+        return self._hub_field(inner)[0]
 
-    def _guess(self, inner: bool, x: Point2, ys) -> float:
-        """_GUESS times the longest segment from x to the ys; inf if one crosses.
+    def _guess(self, inner: bool, pts: np.ndarray, deltas) -> np.ndarray:
+        """_GUESS times each segment from pts[0] to a later point; inf where one crosses.
 
-        A segment's length is its qh length (paths.qh_length), or its
-        Euclidean one in the inner metric.
+        A segment's length is its qh length (paths.qh_length at rel_tol
+        1e-3, off by at most about 3.4e-4 against the 10% margin; a tighter
+        tolerance refines a near-rim chord into up to 65,536 midpoints), on
+        the points' deltas, or its Euclidean one in the inner metric.
         """
-        pts = np.array([[p.x, p.y] for p in (x, *ys)])
-        if self.domain.crossings(np.repeat(pts[:1], len(ys), axis=0), pts[1:]).any():
-            return np.inf
+        cross = self.domain.crossings(np.repeat(pts[:1], len(pts) - 1, axis=0), pts[1:])
         if inner:
-            return _GUESS * float(np.hypot(*(pts[1:] - pts[0]).T).max())
-        d = self.domain.delta_many(pts)
-        return _GUESS * max(qh_length(self.domain, PathPolyline(pts[[0, j]], d[[0, j]]))
-                            for j in range(1, len(pts)))
+            lengths = np.hypot(*(pts[1:] - pts[0]).T)
+        else:
+            lengths = np.array([np.inf if c else qh_length(
+                self.domain, PathPolyline(pts[[0, j]], deltas[[0, j]]), rel_tol=1e-3)
+                for j, c in enumerate(cross, 1)])
+        return np.where(cross, np.inf, _GUESS * lengths)
+
+    def _boxes_of(self):
+        """Per run of _SPAN consecutive node ids: its centers' box and largest delta."""
+        if self._boxes is None:
+            starts = np.arange(0, self.node_count, _SPAN)
+            self._boxes = (np.minimum.reduceat(self.centers, starts),
+                           np.maximum.reduceat(self.centers, starts),
+                           np.maximum.reduceat(self.deltas, starts))
+        return self._boxes
+
+    def _ellipse(self, inner: bool, pts: np.ndarray, deltas, limits) -> np.ndarray | None:
+        """The nodes v with G(x, v) + G(v, y_j) <= L_j for some j, in id order.
+
+        x is pts[0], y_j is pts[j] and L_j is limits[j - 1], with 1e-9
+        relative and absolute slack. G is |a - b| in the inner metric and
+        j(a, b) = log(1 + |a - b| / min(delta_a, delta_b)) in the qh metric,
+        whose sum is tested as the product of the two 1 + |a - b| / min
+        terms against exp(L_j). The boxes (_boxes_of) go first, with
+        the distance to the box and its largest delta; the nodes of the
+        boxes that pass are tested one by one. None when some L_j is inf, or
+        when a qh query's boxes hold more than _PRUNE_MAX of the nodes.
+        """
+        if not np.isfinite(limits).all():
+            return None
+        tol = limits * (1 + 1e-9) + 1e-9
+        if not inner:
+            tol = np.exp(tol)
+
+        def near(gap, cap):
+            """Whether each row passes for some y_j; gap(p) is its distance from p."""
+            terms = [gap(p) if inner else 1.0 + gap(p) / np.minimum(cap, deltas[i])
+                     for i, p in enumerate(pts)]
+            return np.logical_or.reduce([
+                (terms[0] + t if inner else terms[0] * t) <= tol[j]
+                for j, t in enumerate(terms[1:])])
+
+        lo, hi, top = self._boxes_of()
+        boxes = np.flatnonzero(near(
+            lambda p: np.hypot(*np.maximum(np.maximum(lo - p, p - hi), 0.0).T), top))
+        ids = (boxes[:, None] * _SPAN + np.arange(_SPAN)).ravel()
+        ids = ids[ids < self.node_count]
+        if not inner and len(ids) > _PRUNE_MAX * self.node_count:
+            return None
+        c = self.centers[ids]
+        return ids[near(lambda p: np.hypot(c[:, 0] - p[0], c[:, 1] - p[1]),
+                        self.deltas[ids])]
+
+    def _pruned(self, inner: bool, ids: np.ndarray, nodes, stubs, predecessors: bool,
+                limit: float):
+        """A sweep at limit of the subgraph induced by ids, from its spare row.
+
+        ids are sorted, so the subgraph's node i is ids[i] and every row
+        stays sorted by column. Each kept row is copied once, _BLOCK rows at
+        a time, into buffers sized from csr_qh's indptr: the entries whose
+        column is kept, with csr_qh's weight or, in the inner metric,
+        hypot(x_c - x_r, y_c - y_r), the float csr_euc holds. The spare row,
+        last, joins the kept nodes among nodes at their stubs, in their
+        order. The fields come back on the graph's ids, n + 1 long, inf and
+        _NO_PRED off the subgraph.
+        """
+        n, m, q = self.node_count, len(ids), self.csr_qh
+        cx, cy = self.centers[:, 0], self.centers[:, 1]
+        pos = np.full(n, -1, dtype=np.int32)
+        pos[ids] = np.arange(m, dtype=np.int32)
+        first = q.indptr[ids]
+        count = q.indptr[ids + 1] - first
+        cols = np.empty(int(count.sum()) + len(nodes), dtype=np.int32)
+        data = np.empty(len(cols))
+        indptr = np.zeros(m + 2, dtype=np.int32)
+        at = 0
+        for r0 in range(0, m, _COPY_ROWS):
+            rows = slice(r0, r0 + _COPY_ROWS)
+            cnt = count[rows]
+            ends = np.cumsum(cnt, dtype=np.int32)
+            src = np.repeat(first[rows] - (ends - cnt), cnt)
+            src += np.arange(len(src), dtype=np.int32)
+            col = q.indices[src]
+            sub = pos[col]
+            keep = sub >= 0
+            kept = np.r_[0, np.cumsum(keep, dtype=np.int32)]
+            indptr[r0 + 1:r0 + 1 + len(cnt)] = at + kept[ends]
+            span = slice(at, at + int(kept[-1]))
+            cols[span] = sub[keep]
+            if inner:
+                row, col = np.repeat(ids[rows], cnt)[keep], col[keep]
+                np.hypot(cx[col] - cx[row], cy[col] - cy[row], out=data[span])
+            else:
+                data[span] = q.data[src[keep]]
+            at = span.stop
+        entry = pos[nodes] >= 0
+        span = slice(at, at + int(np.count_nonzero(entry)))
+        cols[span], data[span] = pos[nodes[entry]], stubs[entry]
+        indptr[-1] = span.stop
+        del pos, first, count
+        weights = sparse.csr_matrix((data[:span.stop], cols[:span.stop], indptr),
+                                    shape=(m + 1, m + 1))
+        del cols, data
+        out = self._sweep(weights, m, predecessors=predecessors, limit=limit, pruned=True)
+        del weights
+        ext = np.append(ids, n)
+        dist = np.full(n + 1, np.inf)
+        dist[ext] = out[0] if predecessors else out
+        if not predecessors:
+            return dist
+        pred = np.full(n + 1, _NO_PRED, dtype=out[1].dtype)
+        has = out[1] >= 0
+        pred[ext[has]] = ext[out[1][has]]
+        return dist, pred
 
     def _reach(self, inner: bool, u, targets, predecessors: bool = False, stubs=0.0,
                ends=None):
         """A sweep from spare row n, joined to node(s) u by stubs, to the targets.
 
-        Its fields are n + 1 long. It stops at the hub bound, which every
-        target that shares a component with some u must be within. A point
-        query passes ends, (x, [(y, nodes, stubs), ...]): its swept point
-        and each target point with its candidates. When the guess L from x
-        to the ys (_guess) is below the hub bound, the sweep first stops at
-        L, and that field is kept when each y has a candidate within L,
-        min_j (D[v_j] + t_j) <= L: an unreached v_j has D > L, so the
-        distance, its argmin and its chain are the hub-bound sweep's.
-        Otherwise the guess missed, and the hub-bound sweep runs.
+        Its fields are n + 1 long. A point query passes ends,
+        (x, [(y, nodes, stubs), ...]): its swept point and each target point
+        y_j with its candidates. Each y_j gets a limit L_j, its guess
+        (_guess), capped in the qh metric by its hub bound
+        (min_i (s_i + f[u_i]) + min (f[v] + t) over y_j's candidates)
+        * (1 + 1e-9). The sweep first runs on the subgraph its ellipses
+        induce (_ellipse, _pruned), and it is kept when each y_j has a
+        candidate within L_j, min (D[v] + t) <= L_j: the ellipses hold every
+        node of a path that short, so the distance, its argmin and its chain
+        are a full sweep's. Otherwise the whole matrix is swept as before:
+        at the guess when no ellipse was swept, kept under the same rule,
+        then at the hub bound, which every target that shares a component
+        with some u must be within.
         """
         nodes, stubs = np.broadcast_arrays(np.atleast_1d(u), stubs)
+        # the inner hub field is a sweep of csr_euc, which only the whole
+        # matrix's sweeps read, so only they mark or build it
+        f = None if inner else self._hub_once(False)
+        guess = np.inf
+        if ends is not None:
+            x, ys = ends
+            pts = np.array([[p.x, p.y] for p in (x, *(y for y, *_ in ys))])
+            deltas = None if inner else self.domain.delta_many(pts)
+            guesses = limits = self._guess(inner, pts, deltas)
+            if f is not None:
+                start = float((stubs + f[nodes]).min())
+                limits = np.minimum(guesses, [(start + float((f[v] + t).min())) * (1 + 1e-9)
+                                              for _, v, t in ys])
+            kept = self._ellipse(inner, pts, deltas, limits)
+            if kept is None:
+                guess = float(guesses.max())
+            else:
+                out = self._pruned(inner, kept, nodes, stubs, predecessors, float(limits.max()))
+                dist = out[0] if predecessors else out
+                if all((dist[v] + t).min() <= lim for (_, v, t), lim in zip(ys, limits)):
+                    return out
+                self.sweep_counts["missed"] += 1
+        if inner:
+            f = self._hub_once(True)
         self._metric(inner)  # the Euclidean spare row comes with csr_euc
         weights = self._spare[inner]
         fill = np.minimum(np.arange(_CANDIDATES), len(nodes) - 1)
         weights.indices[-_CANDIDATES:] = nodes[fill]
         weights.data[-_CANDIDATES:] = stubs[fill]
-        limit = self._hub_limit(inner, nodes, stubs, targets)
-        guess = np.inf if ends is None else self._guess(inner, ends[0], [y for y, *_ in ends[1]])
+        limit = np.inf if f is None else float(
+            (stubs + f[nodes]).min() + f[targets].max()) * (1 + 1e-9)
         if guess < limit:
             out = self._sweep(weights, self.node_count, predecessors=predecessors, limit=guess)
             dist = out[0] if predecessors else out
@@ -543,7 +691,7 @@ class GridGraph:
         px, py = as_point(x), as_point(y)
         if px == py and self.domain.contains(px):  # outside, _candidates raises
             return 0.0, self._polyline(px, py, None) if geodesic else None
-        k, cx, cy = self._metric(inner)[1], self._candidates(px), self._candidates(py)
+        k, cx, cy = 2 if inner else 1, self._candidates(px), self._candidates(py)
         flip = self._end_key(cy[0][0], py.x, py.y) < self._end_key(cx[0][0], px.x, px.y)
         (ps, src), (pt, dst) = ((py, cy), (px, cx)) if flip else ((px, cx), (py, cy))
         self._check_component(src[0], dst[0])

@@ -1,10 +1,10 @@
 """End-to-end acceptance gates.
 
-Eleven criteria, one test each, in order, with an off-axis companion to
-criterion 1; every test asserts its stated tolerance and prints a single
-summary line (visible with -s or -rA, and the per-test PASSED/FAILED verdict
-of ``pytest -v`` serves as the pass/fail line). The tolerances here are
-contract, not tuning knobs.
+Eleven criteria, one test each, in order, with an off-axis and a
+half-plane companion to criterion 1; every test asserts its stated
+tolerance and prints a single summary line (visible with -s or -rA, and the
+per-test PASSED/FAILED verdict of ``pytest -v`` serves as the pass/fail
+line). The tolerances here are contract, not tuning knobs.
 """
 import json
 import time
@@ -54,6 +54,39 @@ def test_criterion_01_off_axis_closed_forms(disk256):
             worst = max(worst, rel)
     print(f"[PASS] criterion 1, off axis: disk closed forms within 10% "
           f"(worst {worst:.2%})")
+
+
+def _semicircle(x, y):
+    """Center on the real axis and radius of the half-plane geodesic through x and y."""
+    c = (x[0] ** 2 + x[1] ** 2 - y[0] ** 2 - y[1] ** 2) / (2.0 * (x[0] - y[0]))
+    return c, float(np.hypot(x[0] - c, x[1]))
+
+
+def test_criterion_01_half_plane_closed_forms():
+    # in the rectangle [-1,1]x[0,1] the bottom side is the nearest below
+    # y = 0.4 within |x| < 0.6, so along a semicircle that stays there
+    # delta = y and the qh metric is the half-plane's hyperbolic one, with
+    # k = arccosh(1 + |x-y|^2 / (2 y1 y2)). Its geodesics bend and run inside
+    # the boundary layers, where the disk's radial ones do not. The grid
+    # overestimates (delta is concave, so the trapezoid weights do), by up
+    # to 8.29% at h=1/64, layers=3 (median 3.48%): the stencil's error
+    rect = compile_domain({"type": "rect", "min": [-1, 0], "max": [1, 1]})
+    g = build_grid(rect, GridParams(h=1 / 64, boundary_layer=3))
+    rng = np.random.default_rng(0)
+    errors = []
+    while len(errors) < 60:
+        x = rng.uniform([-0.2, 0.01], [0.2, 0.25])
+        y = rng.uniform([-0.2, 0.01], [0.2, 0.25])
+        c, r = _semicircle(x, y)
+        if r >= 0.35 or abs(c) + r >= 0.6:
+            continue
+        want = np.arccosh(1.0 + float(np.sum((x - y) ** 2)) / (2.0 * x[1] * y[1]))
+        k = g.qh_distance(tuple(x), tuple(y))
+        rel = k / want - 1.0
+        assert 0.0 <= rel < 0.10, f"{x}, {y}: {k} vs {want} ({rel:.2%})"
+        errors.append(rel)
+    print(f"[PASS] criterion 1, half plane: closed forms within 10% "
+          f"(worst {max(errors):.2%}, median {np.median(errors):.2%})")
 
 
 def test_criterion_02_lower_bound_invariant(disk_domain, square_domain,

@@ -271,7 +271,7 @@ def test_thin_triangle_runs_are_hub_bounded(disk128, sweeps, monkeypatch):
     assert sum(map(len, runs)) > 0
 
     def full(inner, u, targets, predecessors=False):
-        return g._sweep(g._metric(inner)[0], u, predecessors=predecessors)
+        return g._sweep(g._metric(inner), u, predecessors=predecessors)
 
     monkeypatch.setattr(g, "_reach", full)
     want = estimate_delta_thin_triangles(g, 10, seed=7)

@@ -182,9 +182,10 @@ def test_weights_share_one_structure(grid, request):
 
 
 def test_euclidean_weights_built_once_on_first_inner_use(disk_domain, monkeypatch):
-    # only the inner metric reads the Euclidean weights: qh work leaves them
-    # unbuilt, the first inner query builds them on csr_qh's index arrays,
-    # and later inner queries reuse that matrix
+    # the Euclidean weights are built by their first reader, a direct read
+    # of csr_euc or an inner query that falls back to the whole matrix, on
+    # csr_qh's index arrays, and later readers reuse that matrix; qh work
+    # and the inner point queries that sweep their ellipse leave them unbuilt
     builds = []
     real = grid_module._edge_lengths
     monkeypatch.setattr(grid_module, "_edge_lengths",
@@ -195,9 +196,13 @@ def test_euclidean_weights_built_once_on_first_inner_use(disk_domain, monkeypatc
     g.qh_distance(x, y)
     g.node_distance_matrix([0, g.node_count // 2, g.node_count - 1])
     g.multi_source_field([0, 5])
-    assert builds == []
     g.inner_distance(x, y)
-    assert len(builds) == 1
+    g.inner_geodesic(x, y)
+    assert builds == [] and g.sweep_counts["pruned"] == 3
+    with monkeypatch.context() as mp:
+        mp.setattr(grid_module, "_GUESS", 0.5)  # a miss: the fallback reads csr_euc
+        g.inner_distance(x, y)
+    assert len(builds) == 1 and g.sweep_counts["missed"] == 1
     e = builds[0]
     assert np.shares_memory(e.indices, g.csr_qh.indices)
     assert np.shares_memory(e.indptr, g.csr_qh.indptr)
@@ -205,6 +210,19 @@ def test_euclidean_weights_built_once_on_first_inner_use(disk_domain, monkeypatc
     assert len(builds) == 1 and g.csr_euc is e
     with pytest.raises(AttributeError):
         g.csr_euc = e
+
+
+def test_inner_point_queries_leave_euclidean_weights_unbuilt(disk128):
+    # on the disk every inner segment stays inside, so each inner point
+    # query sweeps its ellipse's subgraph and never reads csr_euc
+    g = fresh_graph(disk128)
+    pts = sample_interior(g.domain, 16, seed=13, min_delta=0.005)
+    for x, y in zip(pts[0::2], pts[1::2]):
+        g.inner_distance(x, y)
+        g.inner_geodesic(y, x)
+    assert g._csr_euc is None and True not in g._hub_fields
+    assert g.sweep_counts == {"full": 0, "limited": 0, "pruned": 16, "min_only": 0,
+                              "missed": 0}
 
 
 _SUITES = load_suite_params()
@@ -784,10 +802,9 @@ def test_hub_bound_is_exact(grid, domain, request):
     pairs = _mirror_pairs(request.getfixturevalue(domain), 4, seed=3)
     pairs = [(x, y) for x, y in pairs if g.attach(x)[0] != g.attach(y)[0]]
     assert len(pairs) >= 6
-    for inner in (False, True):  # two sweeps per metric build both fields
-        for x, y in pairs[:2]:
-            g._distance(x, y, inner)
-    assert all(g._hub_fields[inner] is not None for inner in (False, True))
+    for x, y in pairs[:2]:  # two qh sweeps build the qh field
+        g.qh_distance(x, y)
+    assert g._hub_fields[False] is not None
     full_k = {}
     for x, y in pairs:
         full_k[x, y] = k = _full_k(g, x, y)
@@ -858,26 +875,30 @@ def test_pairs_swept_from_first_end(grid, domain, request, monkeypatch, sweeps):
                                          ("slit_grid", "slit_domain"),
                                          ("comb_grid", "comb_domain")])
 def test_hub_bound_keeps_geodesics(grid, domain, request):
-    # on a fresh graph the first call sweeps in full and a repeat is bounded;
-    # both give the same chain
+    # on a fresh graph the first call has no hub bound and a repeat has the
+    # qh one; both give the same chain
     g = request.getfixturevalue(grid)
     for x, y in _mirror_pairs(request.getfixturevalue(domain), 4, seed=5)[:4]:
         h = fresh_graph(g)
         for geodesic in (h.qh_geodesic, h.inner_geodesic):
             first = geodesic(x, y).points
             assert geodesic(x, y).points.tobytes() == first.tobytes()
-        assert all(h._hub_fields[inner] is not None for inner in (False, True))
+        assert h._hub_fields[False] is not None
 
 
 def _guess_limit(domain, x, y, inner=False):
-    """The guessed limit for a sweep from x to y: _GUESS times the segment's length."""
+    """The guessed limit for a sweep from x to y: _GUESS times the segment's length.
+
+    The qh length is read at rel_tol 1e-3, as GridGraph._guess reads it.
+    """
     seg = PathPolyline.from_domain(domain, [x, y])
-    length = seg.euclidean_length if inner else qh_length(domain, seg)
+    length = seg.euclidean_length if inner else qh_length(domain, seg, rel_tol=1e-3)
     return grid_module._GUESS * length
 
 
 def test_hub_field_sweep_counts(disk64, disk_domain, sweeps):
-    # the first query stops at its guess; the second builds the hub field
+    # the first query stops at its guess; the second builds the hub field.
+    # Each query sweeps its ellipse's subgraph once
     g = fresh_graph(disk64)
     g.qh_distance((0.1, 0.2), (-0.4, 0.3))
     assert sweeps == [_guess_limit(disk_domain, (-0.4, 0.3), (0.1, 0.2))]
@@ -888,11 +909,13 @@ def test_hub_field_sweep_counts(disk64, disk_domain, sweeps):
     assert len(sweeps) == 4 and np.isfinite(sweeps[3])
     hub = g._hub_fields[False][0]
     assert not hub.flags.writeable and hub[np.argmax(g.deltas)] == 0.0
-    # the Euclidean metric has its own field, built at its own second sweep
+    # the Euclidean field is a sweep of csr_euc, so a pruned inner query
+    # takes its guess alone and neither marks nor builds it
     g.inner_distance((0.1, 0.2), (-0.4, 0.3))
     assert sweeps[4] == _guess_limit(disk_domain, (-0.4, 0.3), (0.1, 0.2), inner=True)
-    assert len(sweeps) == 5 and g._hub_fields[True] is None
-    assert g.sweep_counts == {"full": 1, "limited": 4, "min_only": 0, "missed": 0}
+    assert len(sweeps) == 5 and True not in g._hub_fields
+    assert g.sweep_counts == {"full": 1, "limited": 0, "pruned": 4, "min_only": 0,
+                              "missed": 0}
 
 
 def test_first_sweep_from_hub_is_kept(disk64, sweeps):
@@ -970,8 +993,9 @@ def test_guessed_sweeps_are_exact(grid, disk_domain, request, monkeypatch):
     pts = sample_interior(disk_domain, 12, seed=29, min_delta=0.005)
     for i, (x, y) in enumerate(zip(pts[0::2], pts[1::2])):
         assert g.qh_distance(x, y).hex() == _full_k(g, x, y).hex()
-        if i == 0:  # a one-shot query sweeps once, at its guess
-            assert g.sweep_counts == {"full": 0, "limited": 1, "min_only": 0, "missed": 0}
+        if i == 0:  # a one-shot query sweeps its ellipse once, at its guess
+            assert g.sweep_counts == {"full": 0, "limited": 0, "pruned": 1, "min_only": 0,
+                                      "missed": 0}
         assert g.inner_distance(x, y).hex() == _full_k(g, x, y, inner=True).hex()
         for query in (qhgeo.GridGraph.qh_geodesic, qhgeo.GridGraph.inner_geodesic):
             assert _same_path(query(g, x, y), _full(query, g, x, y))
@@ -981,27 +1005,33 @@ def test_guessed_sweeps_are_exact(grid, disk_domain, request, monkeypatch):
     for o, x, y in zip(pts[0::3], pts[1::3], pts[2::3]):
         want = 0.5 * (_full_k(g, o, x) + _full_k(g, o, y) - _full_k(g, x, y))
         assert gromov_product(g, o, x, y).hex() == want.hex()
-    # the disk is convex: every query has a guess, and none missed
-    assert len(guesses) == 6 * 4 + 2 + 4 * 2 and np.isfinite(guesses).all()
-    assert g.sweep_counts["missed"] == 0 and g.sweep_counts["full"] == 2
+    # the disk is convex: every query has a guess, and none missed; only the
+    # qh hub field is built
+    assert len(guesses) == 6 * 4 + 2 + 4 * 2 and np.isfinite(np.concatenate(guesses)).all()
+    assert g.sweep_counts["missed"] == 0 and g.sweep_counts["full"] == 1
 
 
 def test_no_guess_where_the_segment_crosses(comb_grid, comb_domain):
     # between two teeth the segment crosses a slit, so there is no guess:
-    # the first query runs in full and later ones stop at the hub bound
+    # the first query runs in full, and a later one's ellipse, from the hub
+    # bound alone, takes over _PRUNE_MAX of the comb, so it stops at the hub
+    # bound on the whole matrix
     g = fresh_graph(comb_grid)
     x, y = (0.3, 0.2), (0.7, 0.2)
     assert comb_domain.crossings(np.array([x]), np.array([y])).all()
     assert g.qh_distance(x, y).hex() == _full_k(g, x, y).hex()
-    assert g.sweep_counts == {"full": 1, "limited": 0, "min_only": 0, "missed": 0}
+    assert g.sweep_counts == {"full": 1, "limited": 0, "pruned": 0, "min_only": 0,
+                              "missed": 0}
     assert _same_path(g.qh_geodesic(x, y), _full(qhgeo.GridGraph.qh_geodesic, g, x, y))
     assert g.inner_distance(x, y).hex() == _full_k(g, x, y, inner=True).hex()
-    assert g.sweep_counts == {"full": 3, "limited": 1, "min_only": 0, "missed": 0}
+    assert g.sweep_counts == {"full": 3, "limited": 1, "pruned": 0, "min_only": 0,
+                              "missed": 0}
     # within one gap between teeth the segment stays inside: guessed, exact
     x, y = (0.6, 0.1), (0.9, 0.4)
     assert g.qh_distance(x, y).hex() == _full_k(g, x, y).hex()
     assert _same_path(g.qh_geodesic(x, y), _full(qhgeo.GridGraph.qh_geodesic, g, x, y))
-    assert g.sweep_counts == {"full": 3, "limited": 3, "min_only": 0, "missed": 0}
+    assert g.sweep_counts == {"full": 3, "limited": 1, "pruned": 2, "min_only": 0,
+                              "missed": 0}
 
 
 def test_guess_in_other_component():
@@ -1017,7 +1047,10 @@ def test_guess_in_other_component():
     assert g.inner_distance(x, y).hex() == _full_k(g, x, y, inner=True).hex()
     for query in (qhgeo.GridGraph.qh_geodesic, qhgeo.GridGraph.inner_geodesic):
         assert _same_path(query(g, x, y), _full(query, g, x, y))
-    assert g.sweep_counts == {"full": 2, "limited": 8, "min_only": 0, "missed": 0}
+    # the qh ellipses of the upper pair take over _PRUNE_MAX of the graph,
+    # so its qh queries stop at the guess on the whole matrix
+    assert g.sweep_counts == {"full": 1, "limited": 2, "pruned": 6, "min_only": 0,
+                              "missed": 0}
 
 
 def test_guess_past_a_worse_candidate_misses(disk64, disk_domain, monkeypatch):
@@ -1035,7 +1068,7 @@ def test_guess_past_a_worse_candidate_misses(disk64, disk_domain, monkeypatch):
             continue
         cases += 1
         cut = (d[d < d[best]].max() + d[best]) / 2
-        length = h._guess(False, as_point(s), [as_point(t)]) / grid_module._GUESS
+        length = _guess_limit(disk_domain, s, t) / grid_module._GUESS
         with monkeypatch.context() as mp:
             mp.setattr(grid_module, "_GUESS", cut / length)
             assert h.qh_distance(x, y) == _full_k(disk64, x, y)
@@ -1045,7 +1078,9 @@ def test_guess_past_a_worse_candidate_misses(disk64, disk_domain, monkeypatch):
 
 def test_missed_guess_falls_back(disk64, monkeypatch):
     # at half the segment's length the guess misses: each query runs one
-    # extra sweep, the hub-bound one, and gives the same floats and chains
+    # extra sweep, the hub-bound one, and gives the same floats and chains.
+    # Only the fallbacks read csr_euc, so the second inner one also builds
+    # the Euclidean hub field, which the unforced graph never builds
     x, y, z = (0.1, 0.2), (-0.4, 0.3), (0.5, -0.2)
     queries = [lambda h: h.qh_distance(x, y), lambda h: h.qh_geodesic(x, y),
                lambda h: h.inner_distance(x, y), lambda h: h.inner_geodesic(y, z),
@@ -1062,9 +1097,94 @@ def test_missed_guess_falls_back(disk64, monkeypatch):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
         missed = 2 + i if i == 5 else 1 + i  # gromov_product runs two sweeps
         assert forced.sweep_counts["missed"] == missed
+        euclidean_hub = forced._hub_fields.get(True) is not None
+        assert euclidean_hub == (i >= 3)
         assert (sum(forced.sweep_counts.values()) - missed
-                == sum(g.sweep_counts.values()) + missed)
-    assert g.sweep_counts["missed"] == 0
+                == sum(g.sweep_counts.values()) + missed + euclidean_hub)
+    assert g.sweep_counts["missed"] == 0 and True not in g._hub_fields
+
+
+# -- ellipse sweeps -----------------------------------------------------------
+
+@pytest.mark.parametrize("grid", ["disk128", "slit_grid", "comb_grid"])
+def test_weights_bound_the_distance_ratio_metric(grid, request):
+    # every trapezoid weight is at least max(j(u, v), |log delta_u/delta_v|),
+    # j = log(1 + |u-v| / min delta) (Gehring-Osgood): delta is 1-Lipschitz.
+    # So a path's weight bounds each node's j from the path's ends, which
+    # the ellipse test rests on
+    g = request.getfixturevalue(grid)
+    q = g.csr_qh
+    rows = np.repeat(np.arange(g.node_count), np.diff(q.indptr))
+    du, dv = g.deltas[rows], g.deltas[q.indices]
+    gap = np.hypot(*(g.centers[q.indices] - g.centers[rows]).T)
+    lower = np.maximum(np.log1p(gap / np.minimum(du, dv)), np.abs(np.log(du / dv)))
+    assert (lower <= q.data * (1 + 1e-12)).all()
+
+
+@pytest.mark.parametrize("grid,domain", [("disk128", "disk_domain"),
+                                         ("slit_grid", "slit_domain"),
+                                         ("comb_grid", "comb_domain")])
+def test_ellipse_holds_the_full_sweeps_chain(grid, domain, request, monkeypatch):
+    # cut at the distance itself, each ellipse still holds every node of the
+    # full sweep's chain, in both metrics, mirror pairs (exact ties) included;
+    # the ellipse is taken whatever share of the graph it holds
+    monkeypatch.setattr(grid_module, "_PRUNE_MAX", 1.0)
+    g = fresh_graph(request.getfixturevalue(grid))
+    pairs = _mirror_pairs(request.getfixturevalue(domain), 8, seed=7)
+    checked = 0
+    for x, y in pairs:
+        (su, *s), (tu, *t) = g._candidates(x), g._candidates(y)
+        if not np.isin(g.labels[su], g.labels[tu]).any():
+            continue
+        pts = np.array([x, y], dtype=float)
+        for inner in (False, True):
+            dist, pred = g._reach(inner, su, tu, predecessors=True, stubs=s[inner])
+            totals = dist[tu] + t[inner]
+            j = int(np.argmin(totals))
+            chain = g._chain(pred, g.node_count, int(tu[j]))[1:]
+            kept = g._ellipse(inner, pts, g.domain.delta_many(pts), totals[j:j + 1])
+            assert kept is not None and np.isin(chain, kept).all()
+            checked += 1
+    assert checked >= 12
+
+
+def _component_groups(g, pts):
+    """The points grouped by the graph component of their first candidate."""
+    groups = {}
+    for p in pts:
+        groups.setdefault(int(g.labels[g.attach(p)[0]]), []).append(p)
+    return [ps for ps in groups.values() if len(ps) >= 6]
+
+
+@pytest.mark.parametrize("name", ["disk128", "slit", "comb", "split_disk"])
+def test_pruned_sweeps_are_exact(name, request, monkeypatch):
+    # every point query that sweeps its ellipse's subgraph gives a fresh
+    # graph's full sweep's floats and chains; a guess forced to miss falls
+    # back to the whole matrix with the same floats
+    base = _named_grid(name, request)
+    g = fresh_graph(base)
+    groups = _component_groups(g, sample_interior(g.domain, 24, seed=31, min_delta=0.01))
+    assert len(groups) == (2 if name == "split_disk" else 1)
+    for pts in groups:
+        for x, y in zip(pts[0::2], pts[1::2]):
+            assert g.qh_distance(x, y).hex() == _full_k(g, x, y).hex()
+            assert g.inner_distance(x, y).hex() == _full_k(g, x, y, inner=True).hex()
+            for query in (qhgeo.GridGraph.qh_geodesic, qhgeo.GridGraph.inner_geodesic):
+                assert _same_path(query(g, x, y), _full(query, g, x, y))
+        rows = g.qh_distances(pts[:2], pts[2:])
+        want = [_full(qhgeo.GridGraph.qh_distances, g, [s], pts[2:])[0] for s in pts[:2]]
+        assert rows.tobytes() == np.array(want).tobytes()
+        for o, x, y in zip(pts[0::3], pts[1::3], pts[2::3]):
+            want = 0.5 * (_full_k(g, o, x) + _full_k(g, o, y) - _full_k(g, x, y))
+            assert gromov_product(g, o, x, y).hex() == want.hex()
+    assert g.sweep_counts["pruned"] >= 24
+    forced = fresh_graph(base)
+    x, y = groups[0][:2]
+    with monkeypatch.context() as mp:
+        mp.setattr(grid_module, "_GUESS", 0.5)
+        assert forced.qh_distance(x, y).hex() == _full_k(g, x, y).hex()
+        assert forced.inner_distance(x, y).hex() == _full_k(g, x, y, inner=True).hex()
+    assert forced.sweep_counts["missed"] == forced.sweep_counts["pruned"] == 2
 
 
 # -- basepoints ---------------------------------------------------------------
