@@ -55,11 +55,14 @@ equally, near the finished matrix plus the row and column buffer, and
 each build stage is a function whose arrays die on return, so no
 intermediate outlives its last use.
 
-Only the Gehring-Hayman and ball-separation checks read the inner metric.
-Its Euclidean weight matrix is built on first use, from csr_qh's index
-arrays, which it shares, and the node centers: entry (u, v) is the length
-hypot(x_v - x_u, y_v - y_u) that the build's ball certificate read, filled
-by the same walk over blocks of rows.
+Only the Gehring-Hayman and ball-separation checks read the inner metric,
+through inner point queries, and those sweep ellipses whose weights come
+from the node centers (see below). So the Euclidean weight matrix csr_euc
+is built only by a direct read or by a point query that falls back to the
+whole matrix. It is built from csr_qh's index arrays, which it shares, and
+the node centers: entry (u, v) is the length hypot(x_v - x_u, y_v - y_u)
+that the build's ball certificate read, filled by the same walk over
+blocks of rows.
 
 Every shortest-path sweep goes through GridGraph._sweep. Each edge has
 the same weight in both directions, so both matrices are symmetric bit for
@@ -84,24 +87,51 @@ and k(x, y) is k(y, x) bit for bit. The sweep stops at a limit
 from a hub field f: one full sweep, per metric, from the hub, the deepest
 node (lowest id on a tie). min_i (s_i + f[u_i]) + max_j f[v_j] bounds
 every d(n, v_j), so a sweep cut there times (1 + 1e-9) gives the full
-sweep's floats. f is built at a metric's second point-to-point sweep, so a
-one-shot query builds no field; across components f and the limit are inf.
+sweep's floats. f is built at a metric's second point-to-point sweep (in
+the inner metric, its second whole-matrix one; see below), so a one-shot
+query builds no field; across components f and the limit are inf.
 
 A point query first tries a guessed limit, often far below the hub bound.
-When the segment from the swept end x to y stays inside (domain.crossings),
-the guess is L = _GUESS * its length: its qh length (paths.qh_length) or,
-in the inner metric, |x - y|; qh_distances takes its longest segment. In a
+When the segment from the swept end x to a target y stays inside
+(domain.crossings), its guess is L = _GUESS * the segment's length: its qh
+length (paths.qh_length, to 1e-3) or, in the inner metric, |x - y|. In a
 convex domain the segment's qh length is at least the continuous k
 (Gehring-Osgood), and the 8-neighbour stencil stretches a straight path by
-at most 1/cos(pi/8) ~ 1.082, so _GUESS = 1.1 leaves a margin. When L is
-below the hub bound the sweep first stops at L, and its field is kept when
-every target point has a candidate within it, min_j (D[v_j] + t_j) <= L:
-an unreached v_j has D > L, so the distance, the chosen candidate and the
-chain are the hub-bound sweep's bit for bit. Otherwise the guess missed
-and the hub-bound sweep runs, as it does when there is no guess. L is
-capped by the hub bound, since near the rim the chord can be longer than
-the path through the centre. A one-shot query sweeps once, at L, unless
-the guess misses.
+at most 1/cos(pi/8) ~ 1.082, so _GUESS = 1.1 leaves a margin. A sweep cut
+at L is kept when every target point has a candidate within it,
+min_j (D[v_j] + t_j) <= L: an unreached v_j has D > L, so the distance, the
+chosen candidate and the chain are the hub-bound sweep's bit for bit.
+Otherwise the guess missed and the hub-bound sweep runs, as it does when
+there is no guess. L is capped by the hub bound, since near the rim the
+chord can be longer than the path through the centre.
+
+That first sweep runs on the subgraph of the nodes inside the guess's
+Gehring-Osgood ellipse. k(a, b) >= j(a, b) = log(1 + |a - b| / min(delta_a,
+delta_b)), and the bound |log delta_a/delta_b| is never larger, since delta
+is 1-Lipschitz. Edge by edge: with delta_b <= delta_a + l, the trapezoid
+weight l (1/delta_a + 1/delta_b) / 2 is at least log(1 + l/delta_a), and so
+is a stub. j is a metric, so every node v of a path of weight at most L
+from x to y has j(x, v) + j(v, y) <= L; in the inner metric,
+|x - v| + |v - y| <= L. Each target y_j has its own limit L_j: its guess,
+capped in the qh metric by its own hub bound, min_i (s_i + f[u_i]) +
+min_j (f[v_j] + t_j), times (1 + 1e-9). The kept nodes are those inside
+some y_j's ellipse at L_j, with 1e-9 slack, tested per box of _SPAN
+consecutive node ids and then node by node. Their rows are copied with the
+entries between kept nodes, and the sweep from the subgraph's own spare row
+stops at the largest L_j. It is kept when every y_j has a candidate within
+L_j. The full sweep's chain to that candidate lies inside the ellipse, as
+does each chain node's argmin predecessor, so the subgraph's distances
+along it are the full sweep's floats, and no other candidate's distance is
+below its full one: the distance, the chosen candidate and the chain are
+the full sweep's bit for bit. Otherwise the guess missed, and the whole
+matrix is swept at the hub bound. A qh query whose boxes hold over
+_PRUNE_MAX of the nodes sweeps the whole matrix at once, since the copy
+would cost more than the smaller sweep saves. In the inner metric the
+copied weights are hypot of the node centers, the floats csr_euc holds, so
+inner point queries build neither csr_euc nor the inner hub field, a sweep
+of csr_euc: only the whole matrix's sweeps mark or build it, and an inner
+ellipse takes the guess alone. A one-shot query sweeps once, unless the
+guess misses.
 
 The diagnostics that measure k(x0, .) from a fixed basepoint (John, QHBC,
 growth, the scale-ladder probes) take x0 as a point or as a Basepoint: x0,
@@ -301,14 +331,18 @@ class GridGraph:
     """Immutable weighted grid graph over a compiled domain.
 
     The graph never changes after the build. Its mutable state is the
-    spare row of each weight matrix, rewritten by every point query, the
-    sweep counts, and two lazy caches: at most two hub fields, one per
-    metric, each with its predecessors, that bound the point-to-point
-    sweeps, and the Euclidean weight matrix csr_euc, built by the first
-    inner-metric query (see the module docstring).
+    spare row of each weight matrix, rewritten by every point query that
+    sweeps the whole matrix, the sweep counts, and three lazy caches: at
+    most two hub fields, one per metric, each with its predecessors, that
+    bound the point-to-point sweeps; the box summary of the ellipse test;
+    and the Euclidean weight matrix csr_euc, built by its first direct read
+    or by the first inner point query that sweeps the whole matrix (see the
+    module docstring).
 
-    sweep_counts counts this graph's sweeps by kind (full, limited,
-    min_only) and the point queries' guessed limits that missed. It never
+    sweep_counts counts this graph's sweeps by kind: full, limited (a
+    sweep of the whole matrix cut at a limit), pruned (a point query's
+    sweep of its ellipse's subgraph, cut at its largest limit) and
+    min_only, and the point queries' guessed limits that missed. It never
     enters a report, and a _fork_map worker's sweeps are counted in the
     worker's copy of the graph, so they do not reach it.
 
@@ -530,13 +564,15 @@ class GridGraph:
         if not inner:
             tol = np.exp(tol)
 
-        def near(gap, cap):
-            """Whether each row passes for some y_j; gap(p) is its distance from p."""
-            terms = [gap(p) if inner else 1.0 + gap(p) / np.minimum(cap, deltas[i])
-                     for i, p in enumerate(pts)]
-            return np.logical_or.reduce([
-                (terms[0] + t if inner else terms[0] * t) <= tol[j]
-                for j, t in enumerate(terms[1:])])
+        def near(dist_from, cap):
+            """Whether each row passes for some y_j; dist_from(p) is its distance from p."""
+            if inner:
+                ex = dist_from(pts[0])
+                return np.logical_or.reduce([ex + dist_from(p) <= t
+                                             for p, t in zip(pts[1:], tol)])
+            fx = 1.0 + dist_from(pts[0]) / np.minimum(cap, deltas[0])
+            return np.logical_or.reduce([fx * (1.0 + dist_from(p) / np.minimum(cap, d)) <= t
+                                         for p, d, t in zip(pts[1:], deltas[1:], tol)])
 
         lo, hi, top = self._boxes_of()
         boxes = np.flatnonzero(near(
@@ -554,8 +590,8 @@ class GridGraph:
         """A sweep at limit of the subgraph induced by ids, from its spare row.
 
         ids are sorted, so the subgraph's node i is ids[i] and every row
-        stays sorted by column. Each kept row is copied once, _BLOCK rows at
-        a time, into buffers sized from csr_qh's indptr: the entries whose
+        stays sorted by column. Each kept row is copied once, _COPY_ROWS
+        rows at a time, into buffers sized from csr_qh's indptr: the entries whose
         column is kept, with csr_qh's weight or, in the inner metric,
         hypot(x_c - x_r, y_c - y_r), the float csr_euc holds. The spare row,
         last, joins the kept nodes among nodes at their stubs, in their
@@ -575,15 +611,15 @@ class GridGraph:
         for r0 in range(0, m, _COPY_ROWS):
             rows = slice(r0, r0 + _COPY_ROWS)
             cnt = count[rows]
-            ends = np.cumsum(cnt, dtype=np.int32)
-            src = np.repeat(first[rows] - (ends - cnt), cnt)
-            src += np.arange(len(src), dtype=np.int32)
+            ends = np.cumsum(cnt)
+            src = np.repeat(first[rows] - (ends - cnt), cnt) + np.arange(ends[-1])
             col = q.indices[src]
             sub = pos[col]
             keep = sub >= 0
-            kept = np.r_[0, np.cumsum(keep, dtype=np.int32)]
-            indptr[r0 + 1:r0 + 1 + len(cnt)] = at + kept[ends]
-            span = slice(at, at + int(kept[-1]))
+            # the entries kept before each row's end; the dropped ones are few
+            done = at + ends - np.searchsorted(np.flatnonzero(~keep), ends)
+            indptr[r0 + 1:r0 + 1 + len(cnt)] = done
+            span = slice(at, int(done[-1]))
             cols[span] = sub[keep]
             if inner:
                 row, col = np.repeat(ids[rows], cnt)[keep], col[keep]
