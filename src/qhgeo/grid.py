@@ -591,8 +591,8 @@ class GridGraph:
 
         ids are sorted, so the subgraph's node i is ids[i] and every row
         stays sorted by column. Each kept row is copied once, _COPY_ROWS
-        rows at a time, into buffers sized from csr_qh's indptr: the entries whose
-        column is kept, with csr_qh's weight or, in the inner metric,
+        rows at a time, into buffers sized from csr_qh's indptr: the entries
+        whose column is kept, with csr_qh's weight or, in the inner metric,
         hypot(x_c - x_r, y_c - y_r), the float csr_euc holds. The spare row,
         last, joins the kept nodes among nodes at their stubs, in their
         order. The fields come back on the graph's ids, n + 1 long, inf and
@@ -631,6 +631,7 @@ class GridGraph:
         span = slice(at, at + int(np.count_nonzero(entry)))
         cols[span], data[span] = pos[nodes[entry]], stubs[entry]
         indptr[-1] = span.stop
+        # the copy is freed before the graph-sized fields are made
         del pos, first, count
         weights = sparse.csr_matrix((data[:span.stop], cols[:span.stop], indptr),
                                     shape=(m + 1, m + 1))
@@ -683,7 +684,8 @@ class GridGraph:
             if kept is None:
                 guess = float(guesses.max())
             else:
-                out = self._pruned(inner, kept, nodes, stubs, predecessors, float(limits.max()))
+                out = self._pruned(inner, kept, nodes, stubs, predecessors,
+                                   float(limits.max()))
                 dist = out[0] if predecessors else out
                 if all((dist[v] + t).min() <= lim for (_, v, t), lim in zip(ys, limits)):
                     return out
