@@ -105,7 +105,7 @@ Otherwise the guess missed and the hub-bound sweep runs, as it does when
 there is no guess. L is capped by the hub bound, since near the rim the
 chord can be longer than the path through the centre.
 
-That first sweep runs on the subgraph of the nodes inside the guess's
+That first sweep runs on the subgraph of the nodes inside its limit's
 Gehring-Osgood ellipse. k(a, b) >= j(a, b) = log(1 + |a - b| / min(delta_a,
 delta_b)), and the bound |log delta_a/delta_b| is never larger, since delta
 is 1-Lipschitz. Edge by edge: with delta_b <= delta_a + l, the trapezoid
@@ -113,8 +113,8 @@ weight l (1/delta_a + 1/delta_b) / 2 is at least log(1 + l/delta_a), and so
 is a stub. j is a metric, so every node v of a path of weight at most L
 from x to y has j(x, v) + j(v, y) <= L; in the inner metric,
 |x - v| + |v - y| <= L. Each target y_j has its own limit L_j: its guess,
-capped in the qh metric by its own hub bound, min_i (s_i + f[u_i]) +
-min_j (f[v_j] + t_j), times (1 + 1e-9). The kept nodes are those inside
+capped in the qh metric by its own hub bound, min_i (s_i + f[u_i]) + the
+min over y_j's candidates v of (f[v] + t_v), times (1 + 1e-9). The kept nodes are those inside
 some y_j's ellipse at L_j, with 1e-9 slack, tested per box of _SPAN
 consecutive node ids and then node by node. Their rows are copied with the
 entries between kept nodes, and the sweep from the subgraph's own spare row
@@ -124,12 +124,13 @@ does each chain node's argmin predecessor, so the subgraph's distances
 along it are the full sweep's floats, and no other candidate's distance is
 below its full one: the distance, the chosen candidate and the chain are
 the full sweep's bit for bit. Otherwise the guess missed, and the whole
-matrix is swept at the hub bound. A qh query whose boxes hold over
-_PRUNE_MAX of the nodes sweeps the whole matrix at once, since the copy
-would cost more than the smaller sweep saves. In the inner metric the
+matrix is swept at the hub bound. A query with an infinite L_j, or a qh
+query whose boxes hold over _PRUNE_MAX of the nodes, sweeps the whole
+matrix at once, since the copy would cost more than the smaller sweep
+saves. In the inner metric the
 copied weights are hypot of the node centers, the floats csr_euc holds, so
 inner point queries build neither csr_euc nor the inner hub field, a sweep
-of csr_euc: only the whole matrix's sweeps mark or build it, and an inner
+of csr_euc: only a whole-matrix sweep marks or builds it, and an inner
 ellipse takes the guess alone. A one-shot query sweeps once, unless the
 guess misses.
 
