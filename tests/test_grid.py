@@ -1188,6 +1188,21 @@ def test_pruned_sweeps_are_exact(name, request, monkeypatch):
     assert forced.sweep_counts["missed"] == forced.sweep_counts["pruned"] == 2
 
 
+def test_empty_ellipse_falls_back(disk64):
+    # two points closer than any node: the ellipse holds no node, its sweep
+    # of the bare spare row misses, and the fallback gives the full sweep's
+    # floats and chain
+    g = fresh_graph(disk64)
+    x, y = (0.3, 0.2), (0.3 + 1e-7, 0.2)
+    pts = np.array([x, y])
+    deltas = g.domain.delta_many(pts)
+    assert g._ellipse(False, pts, deltas, g._guess(False, pts, deltas)).size == 0
+    assert g.qh_distance(x, y).hex() == _full_k(g, x, y).hex()
+    assert g.inner_distance(x, y).hex() == _full_k(g, x, y, inner=True).hex()
+    assert _same_path(g.qh_geodesic(x, y), _full(qhgeo.GridGraph.qh_geodesic, g, x, y))
+    assert g.sweep_counts["missed"] == g.sweep_counts["pruned"] == 3
+
+
 # -- basepoints ---------------------------------------------------------------
 
 @pytest.mark.parametrize("grid,domain", [("disk128", "disk_domain"),
