@@ -157,16 +157,18 @@ def estimate_delta_thin_triangles(g: GridGraph, n_samples: int, seed: int,
             if u != v:
                 s, t = sorted((u, v), key=g._end_key)
                 targets.setdefault(s, set()).add(t)
-    ends = [(s, sorted(ts)) for s, ts in targets.items()]
+    # the hub field is built here: a forked worker's cache never reaches this process
+    f = g.basepoint(g._hub).field
+    ends = [(s, sorted(ts), float(f[s] + f[list(ts)].max()) * (1 + 1e-9))
+            for s, ts in targets.items()]
 
     def run(end):
         """Each of the end's sides: its nodes and its length."""
-        s, ts = end
-        dist, pred = g._reach(False, s, ts, predecessors=True)
-        return [(np.asarray(GridGraph._chain(pred, s, t)), dist[t]) for t in ts]
+        s, ts, limit = end
+        bp = g._node_sweep(s, ts, limit)
+        return [(np.asarray(bp.path(t)), bp.field[t]) for t in ts]
 
-    g._hub_field(False)  # here: a forked worker's cache never reaches this process
-    sides = {(s, t): side for (s, ts), out in zip(ends, _fork_map(run, ends))
+    sides = {(s, t): side for (s, ts, _), out in zip(ends, _fork_map(run, ends))
              for t, side in zip(ts, out)}
 
     def side_of(u: int, v: int):
@@ -311,10 +313,7 @@ def _probe_ladder(g: GridGraph, p: Anchor, q: Anchor, bp: Basepoint,
             # the xk-yk path in x0's shortest-path tree bounds k(xk, yk), so
             # a sweep cut at its length settles every prefix of the xk-yk
             # geodesic exactly; the slack covers float rounding only
-            sweep = g.basepoint(xk, bp.tree_bound(xk, yk))
-            if not math.isfinite(sweep.field[yk]):
-                raise InternalInvariantError(
-                    "ladder endpoint beyond its path in x0's shortest-path tree")
+            sweep = g._node_sweep(xk, [yk], bp.tree_bound(xk, yk))
             chain, k_xy = np.asarray(sweep.path(yk)), float(sweep.field[yk])
         m_k = float((bp.field[chain] + bp.stub).min())
         clear_k = float(g.deltas[chain].max())

@@ -76,63 +76,64 @@ shortest path is itself within the limit.
 
 The point queries (the distances, the geodesics and qh_distances) take
 the minimum of stub + graph distance + stub over the first _CANDIDATES
-candidates u_i and v_j of the two ends. Each weight matrix has a spare row
-n in the last slots of the buffers that csr_qh and csr_euc end before. A
-query writes one end's u_i and stubs s_i there, sweeps from n, which no
-edge enters, and reads the v_j off the field. The swept end is the pair's
+candidates u_i and v_j of the two ends. A query sweeps from a spare row n,
+which no edge enters, joined to the u_i at their stubs s_i, and reads the
+v_j off the field. Each weight matrix keeps that row in the last slots of
+the buffers that csr_qh and csr_euc end before, written by each sweep of
+the whole matrix (GridGraph._whole_sweep). The swept end is the pair's
 first end: its first candidate comes first in (delta, node id) order, and
 the lower point breaks a tie (GridGraph._end_key). A node near the
 boundary has a small qh ball, so the shallower end's sweep stops sooner,
-and k(x, y) is k(y, x) bit for bit. The sweep stops at a limit
-from a hub field f: one full sweep, per metric, from the hub, the deepest
-node (lowest id on a tie). min_i (s_i + f[u_i]) + max_j f[v_j] bounds
-every d(n, v_j), so a sweep cut there times (1 + 1e-9) gives the full
-sweep's floats. f is built at a metric's second point-to-point sweep (in
-the inner metric, its second whole-matrix one; see below), so a one-shot
-query builds no field; across components f and the limit are inf.
+and k(x, y) is k(y, x) bit for bit. The bounds come from a hub field f:
+one full sweep, per metric, from the hub, the deepest node (lowest id on a
+tie). min_i (s_i + f[u_i]) + max_j f[v_j] bounds every d(n, v_j), so a
+sweep cut there times (1 + 1e-9) gives the full sweep's floats. f is built
+at a metric's second point-to-point sweep (in the inner metric, its second
+fallback; see below), so a one-shot query builds no field; across
+components f and the limit are inf.
 
-A point query first tries a guessed limit, often far below the hub bound.
-When the segment from the swept end x to a target y stays inside
-(domain.crossings), its guess is L = _GUESS * the segment's length: its qh
-length (paths.qh_length, to 1e-3) or, in the inner metric, |x - y|. In a
-convex domain the segment's qh length is at least the continuous k
-(Gehring-Osgood), and the 8-neighbour stencil stretches a straight path by
-at most 1/cos(pi/8) ~ 1.082, so _GUESS = 1.1 leaves a margin. A sweep cut
-at L is kept when every target point has a candidate within it,
-min_j (D[v_j] + t_j) <= L: an unreached v_j has D > L, so the distance, the
-chosen candidate and the chain are the hub-bound sweep's bit for bit.
-Otherwise the guess missed and the hub-bound sweep runs, as it does when
-there is no guess. L is capped by the hub bound, since near the rim the
-chord can be longer than the path through the centre.
+A point query tries one sweep and falls back at most once. Each target
+y_j gets a limit L_j: its guess, capped in the qh metric by its own hub
+bound, min_i (s_i + f[u_i]) + the min over y_j's candidates v of
+(f[v] + t_v), times (1 + 1e-9). When the segment from the swept end x to
+y_j stays inside (domain.crossings), the guess is _GUESS * the segment's
+length: its qh length (paths.qh_length, to 1e-3) or, in the inner metric,
+|x - y_j|; otherwise it is inf. In a convex domain the segment's qh length
+is at least the continuous k (Gehring-Osgood), and the 8-neighbour stencil
+stretches a straight path by at most 1/cos(pi/8) ~ 1.082, so _GUESS = 1.1
+leaves a margin; near the rim the chord can be longer than the path
+through the centre, hence the cap. When every L_j is finite, the try is
+one sweep cut at the largest L_j, on the ellipse's subgraph below or, when
+_ellipse declines, on the whole matrix. It is kept when every target point
+has a candidate within its limit, min (D[v] + t_v) <= L_j: an unreached v
+has D above the cut, so the distance, the chosen candidate and the chain
+are the full sweep's bit for bit. Otherwise, when the try missed or some
+L_j is inf, the whole matrix is swept at the hub bound above, in full
+without f, and a target that shares a component with some u_i and lies
+beyond it raises InternalInvariantError.
 
-That first sweep runs on the subgraph of the nodes inside its limit's
-Gehring-Osgood ellipse. k(a, b) >= j(a, b) = log(1 + |a - b| / min(delta_a,
-delta_b)), and the bound |log delta_a/delta_b| is never larger, since delta
-is 1-Lipschitz. Edge by edge: with delta_b <= delta_a + l, the trapezoid
+The try's subgraph holds the nodes inside its limits' Gehring-Osgood
+ellipses. k(a, b) >= j(a, b) = log(1 + |a - b| / min(delta_a, delta_b)),
+and the bound |log delta_a/delta_b| is never larger, since delta is
+1-Lipschitz. Edge by edge: with delta_b <= delta_a + l, the trapezoid
 weight l (1/delta_a + 1/delta_b) / 2 is at least log(1 + l/delta_a), and so
 is a stub. j is a metric, so every node v of a path of weight at most L
 from x to y has j(x, v) + j(v, y) <= L; in the inner metric,
-|x - v| + |v - y| <= L. Each target y_j has its own limit L_j: its guess,
-capped in the qh metric by its own hub bound, min_i (s_i + f[u_i]) + the
-min over y_j's candidates v of (f[v] + t_v), times (1 + 1e-9). The kept nodes are those inside
-some y_j's ellipse at L_j, with 1e-9 slack, tested per box of _SPAN
-consecutive node ids and then node by node. Their rows are copied with the
-entries between kept nodes, and the sweep from the subgraph's own spare row
-stops at the largest L_j. It is kept when every y_j has a candidate within
-L_j. The full sweep's chain to that candidate lies inside the ellipse, as
-does each chain node's argmin predecessor, so the subgraph's distances
-along it are the full sweep's floats, and no other candidate's distance is
-below its full one: the distance, the chosen candidate and the chain are
-the full sweep's bit for bit. Otherwise the guess missed, and the whole
-matrix is swept at the hub bound. A query with an infinite L_j, or a qh
-query whose boxes hold over _PRUNE_MAX of the nodes, sweeps the whole
-matrix at once, since the copy would cost more than the smaller sweep
-saves. In the inner metric the
-copied weights are hypot of the node centers, the floats csr_euc holds, so
-inner point queries build neither csr_euc nor the inner hub field, a sweep
-of csr_euc: only a whole-matrix sweep marks or builds it, and an inner
-ellipse takes the guess alone. A one-shot query sweeps once, unless the
-guess misses.
+|x - v| + |v - y| <= L. The kept nodes are those inside some y_j's ellipse
+at L_j, with 1e-9 slack, tested per box of _SPAN consecutive node ids and
+then node by node. Their rows are copied with the entries between kept
+nodes, and the sweep runs from the subgraph's own spare row. The full
+sweep's chain to a candidate within L_j lies inside the ellipse, as does
+each chain node's argmin predecessor, so the subgraph's distances along it
+are the full sweep's floats, and no other candidate's distance is below
+its full one: under the keep rule the distance, the chosen candidate and
+the chain are the full sweep's bit for bit. _ellipse declines a qh query
+whose boxes hold over _PRUNE_MAX of the nodes, since the copy would cost
+more than the smaller sweep saves. In the inner metric the copied weights
+are hypot of the node centers, the floats csr_euc holds, so inner point
+queries build neither csr_euc nor the inner hub field, a sweep of csr_euc:
+only the fallback marks or builds it, and an inner try takes the guess
+alone. A one-shot query sweeps once, unless its try misses.
 
 The diagnostics that measure k(x0, .) from a fixed basepoint (John, QHBC,
 growth, the scale-ladder probes) take x0 as a point or as a Basepoint: x0,
@@ -140,20 +141,24 @@ its node and stub, and the read-only field and predecessors of one sweep
 from that node. GridGraph.basepoint, the one single-source sweep with
 predecessors, builds one from a point or a node id, cut at an optional
 limit; a caller that runs several diagnostics from one x0 builds it once
-and holds it, so it is not state of the graph. The ladder sweeps from each
-endpoint, cut at the endpoints' path in x0's tree (Basepoint.tree_bound).
-A full sweep from the hub is the qh hub field, so the hub cache holds each
-field with its predecessors; a limited one never touches that cache.
-dist_field is a basepoint's field plus its stub; multi_source_field, the
-node-set sweep, never uses the hub field.
+and holds it, so it is not state of the graph. A full sweep from the hub is
+the qh hub field, so the hub cache holds each field with its predecessors;
+a limited one never touches that cache. dist_field is a basepoint's field
+plus its stub; multi_source_field, the node-set sweep, never uses the hub
+field.
 
-Every pair sweep in the library starts at its first end: the point
-queries, gromov_product, the thin-triangle sides and node_distance_matrix.
-node_distance_matrix uses the same triangle bound through the qh hub: it
-sweeps each pair once, from the end that comes first in (delta, node id)
-order, and stops each sweep at the longest distance through the hub to the
-nodes after it (see its docstring). It builds the hub field if no query
-has.
+Every sweep from a node goes through basepoint, cut at a bound on its
+distance to each target: the ladder's, from each endpoint to the other,
+and the pair sweeps of node_distance_matrix and the thin-triangle sides.
+GridGraph._node_sweep holds their one check: a finite bound that leaves a
+target unreached raises InternalInvariantError. The ladder cuts at the
+endpoints' path in x0's tree (Basepoint.tree_bound). A pair sweep starts at
+the pair's first end, as the point queries and gromov_product do, and
+stops at the triangle bound through the qh hub: a sweep from s stops at
+(f[s] + max_t f[t]) * (1 + 1e-9) over its targets t. node_distance_matrix
+sweeps each pair once, to the nodes after s in (delta, node id) order
+(see its docstring), and builds the hub field if no query has; the
+thin-triangle estimate builds it before its runs are dealt out.
 
 Sweeps that do not depend on each other (node_distance_matrix's rows and
 the thin-triangle side runs) go through _fork_map, which deals them over
@@ -556,11 +561,9 @@ class GridGraph:
         whose sum is tested as the product of the two 1 + |a - b| / min
         terms against exp(L_j). The boxes (_boxes_of) go first, with
         the distance to the box and its largest delta; the nodes of the
-        boxes that pass are tested one by one. None when some L_j is inf, or
-        when a qh query's boxes hold more than _PRUNE_MAX of the nodes.
+        boxes that pass are tested one by one. Every L_j is finite. None when
+        a qh query's boxes hold more than _PRUNE_MAX of the nodes.
         """
-        if not np.isfinite(limits).all():
-            return None
         tol = limits * (1 + 1e-9) + 1e-9
         if not inner:
             tol = np.exp(tol)
@@ -649,64 +652,55 @@ class GridGraph:
         pred[ext[has]] = ext[out[1][has]]
         return dist, pred
 
-    def _reach(self, inner: bool, u, targets, predecessors: bool = False, stubs=0.0,
-               ends=None):
-        """A sweep from spare row n, joined to node(s) u by stubs, to the targets.
-
-        Its fields are n + 1 long. A point query passes ends,
-        (x, [(y, nodes, stubs), ...]): its swept point and each target point
-        y_j with its candidates. Each y_j gets a limit L_j, its guess
-        (_guess), capped in the qh metric by its hub bound
-        (min_i (s_i + f[u_i]) + min (f[v] + t) over y_j's candidates)
-        * (1 + 1e-9). The sweep first runs on the subgraph its ellipses
-        induce (_ellipse, _pruned), and it is kept when each y_j has a
-        candidate within L_j, min (D[v] + t) <= L_j: the ellipses hold every
-        node of a path that short, so the distance, its argmin and its chain
-        are a full sweep's. Otherwise the whole matrix is swept as before:
-        at the guess when no ellipse was swept, kept under the same rule,
-        then at the hub bound, which every target that shares a component
-        with some u must be within.
-        """
-        nodes, stubs = np.broadcast_arrays(np.atleast_1d(u), stubs)
-        # the inner hub field is a sweep of csr_euc, which only the whole
-        # matrix's sweeps read, so only they mark or build it
-        f = None if inner else self._hub_once(False)
-        guess = np.inf
-        if ends is not None:
-            x, ys = ends
-            pts = np.array([[p.x, p.y] for p in (x, *(y for y, *_ in ys))])
-            deltas = None if inner else self.domain.delta_many(pts)
-            guesses = limits = self._guess(inner, pts, deltas)
-            if f is not None:
-                start = float((stubs + f[nodes]).min())
-                limits = np.minimum(guesses, [(start + float((f[v] + t).min())) * (1 + 1e-9)
-                                              for _, v, t in ys])
-            kept = self._ellipse(inner, pts, deltas, limits)
-            if kept is None:
-                guess = float(guesses.max())
-            else:
-                out = self._pruned(inner, kept, nodes, stubs, predecessors,
-                                   float(limits.max()))
-                dist = out[0] if predecessors else out
-                if all((dist[v] + t).min() <= lim for (_, v, t), lim in zip(ys, limits)):
-                    return out
-                self.sweep_counts["missed"] += 1
-        if inner:
-            f = self._hub_once(True)
+    def _whole_sweep(self, inner: bool, nodes, stubs, predecessors: bool, limit: float):
+        """A sweep of the whole matrix at limit from spare row n, joined to nodes by stubs."""
         self._metric(inner)  # the Euclidean spare row comes with csr_euc
         weights = self._spare[inner]
         fill = np.minimum(np.arange(_CANDIDATES), len(nodes) - 1)
         weights.indices[-_CANDIDATES:] = nodes[fill]
         weights.data[-_CANDIDATES:] = stubs[fill]
-        limit = np.inf if f is None else float(
-            (stubs + f[nodes]).min() + f[targets].max()) * (1 + 1e-9)
-        if guess < limit:
-            out = self._sweep(weights, self.node_count, predecessors=predecessors, limit=guess)
+        return self._sweep(weights, self.node_count, predecessors=predecessors, limit=limit)
+
+    def _reach(self, inner: bool, nodes, stubs, x, ys, predecessors: bool = False):
+        """A point query's sweep from the swept point x, its candidates nodes joined by stubs.
+
+        ys lists each target point y_j as (y_j, its candidates, their stubs).
+        The fields are n + 1 long, on the graph's ids. Each y_j gets a limit
+        L_j, its guess (_guess), capped in the qh metric by its hub bound
+        (min_i (s_i + f[u_i]) + min (f[v] + t) over y_j's candidates)
+        * (1 + 1e-9). When every L_j is finite, one sweep at the largest runs
+        on the subgraph its ellipses induce (_ellipse, _pruned), or on the
+        whole matrix when _ellipse declines, and it is kept when each y_j has
+        a candidate within L_j, min (D[v] + t) <= L_j: the ellipses hold every
+        node of a path that short, so the distance, its argmin and its chain
+        are a full sweep's. Otherwise the whole matrix is swept at the hub
+        bound, which every target that shares a component with some u_i must
+        be within.
+        """
+        # the inner hub field is a sweep of csr_euc, which only the fallback
+        # reads, so only the fallback marks or builds it
+        f = None if inner else self._hub_once(False)
+        pts = np.array([[p.x, p.y] for p in (x, *(y for y, *_ in ys))])
+        deltas = None if inner else self.domain.delta_many(pts)
+        limits = self._guess(inner, pts, deltas)
+        if f is not None:
+            start = float((stubs + f[nodes]).min())
+            limits = np.minimum(limits, [(start + float((f[v] + t).min())) * (1 + 1e-9)
+                                         for _, v, t in ys])
+        if np.isfinite(limits).all():
+            kept, limit = self._ellipse(inner, pts, deltas, limits), float(limits.max())
+            out = (self._whole_sweep(inner, nodes, stubs, predecessors, limit) if kept is None
+                   else self._pruned(inner, kept, nodes, stubs, predecessors, limit))
             dist = out[0] if predecessors else out
-            if all((dist[v] + t).min() <= guess for _, v, t in ends[1]):
+            if all((dist[v] + t).min() <= lim for (_, v, t), lim in zip(ys, limits)):
                 return out
             self.sweep_counts["missed"] += 1
-        out = self._sweep(weights, self.node_count, predecessors=predecessors, limit=limit)
+        if inner:
+            f = self._hub_once(True)
+        targets = np.concatenate([v for _, v, _ in ys])
+        limit = np.inf if f is None else float(
+            (stubs + f[nodes]).min() + f[targets].max()) * (1 + 1e-9)
+        out = self._whole_sweep(inner, nodes, stubs, predecessors, limit)
         dist = out[0] if predecessors else out
         linked = np.isin(self.labels[targets], self.labels[nodes])
         if not np.isfinite(dist[targets][linked]).all():
@@ -734,8 +728,7 @@ class GridGraph:
         flip = self._end_key(cy[0][0], py.x, py.y) < self._end_key(cx[0][0], px.x, px.y)
         (ps, src), (pt, dst) = ((py, cy), (px, cx)) if flip else ((px, cx), (py, cy))
         self._check_component(src[0], dst[0])
-        out = self._reach(inner, src[0], dst[0], geodesic, src[k],
-                          ends=(ps, [(pt, dst[0], dst[k])]))
+        out = self._reach(inner, src[0], src[k], ps, [(pt, dst[0], dst[k])], geodesic)
         totals = (out[0] if geodesic else out)[dst[0]] + dst[k]
         j = int(np.argmin(totals))
         if not geodesic:
@@ -801,9 +794,8 @@ class GridGraph:
             for j in cols:
                 self._check_component(nodes, t_cand[j][0])
             if cols:
-                dist = self._reach(False, nodes, np.concatenate([t_cand[j][0] for j in cols]),
-                                   stubs=stubs, ends=(ps, [(tgts[j], *t_cand[j][:2])
-                                                           for j in cols]))
+                dist = self._reach(False, nodes, stubs, ps,
+                                   [(tgts[j], *t_cand[j][:2]) for j in cols])
                 out[i, cols] = [(dist[t_cand[j][0]] + t_cand[j][1]).min() for j in cols]
                 del dist
         return out
@@ -816,7 +808,9 @@ class GridGraph:
         Basepoint built on this graph, which comes back as it is, so a
         diagnostic passes any x0 through here. One built on another graph
         raises ConstraintError. A full sweep at the hub is the qh hub field;
-        a limited one never touches the hub cache.
+        a limited one never touches the hub cache. Every sweep from a node
+        runs here; one cut at a bound on its targets comes through
+        _node_sweep, which checks that bound.
         """
         if isinstance(x0, Basepoint):
             if x0.graph is not self:
@@ -835,6 +829,17 @@ class GridGraph:
             field, pred = _read_only(*self._sweep(self.csr_qh, u, predecessors=True,
                                                   limit=limit))
         return Basepoint(pt, u, stub, field, pred, self)
+
+    def _node_sweep(self, u, targets, limit: float) -> Basepoint:
+        """basepoint(u, limit) for a sweep from node u that must reach the targets.
+
+        A finite limit is a bound on d(u, t) for every target t, so one it
+        leaves unreached raises InternalInvariantError.
+        """
+        bp = self.basepoint(int(u), limit)
+        if math.isfinite(limit) and not np.isfinite(bp.field[targets]).all():
+            raise InternalInvariantError("target node beyond the bound of its node sweep")
+        return bp
 
     def multi_source_field(self, nodes, limit: float = np.inf) -> np.ndarray:
         """Min quasihyperbolic graph distance from a node set to every node.
@@ -872,10 +877,7 @@ class GridGraph:
 
         def row(r: int) -> np.ndarray:
             limit = float((f[r] + f[r + 1:]).max()) * (1 + 1e-9)
-            out = self._sweep(self.csr_qh, int(src[r]), limit=limit)[src[r + 1:]]
-            if math.isfinite(limit) and not np.isfinite(out).all():
-                raise InternalInvariantError("target node beyond the hub bound")
-            return out
+            return self._node_sweep(src[r], src[r + 1:], limit).field[src[r + 1:]]
 
         d = np.zeros((m, m))
         for r, out in enumerate(_fork_map(row, range(m - 1))):

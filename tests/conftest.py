@@ -54,21 +54,6 @@ def full_sweep(g, node, predecessors=False):
                             return_predecessors=predecessors)
 
 
-class _CountingCsgraph:
-    """Stands in for qhgeo.grid.csgraph and records each sweep's limit."""
-
-    def __init__(self, real):
-        self.real = real
-        self.limits = []
-
-    def dijkstra(self, *args, **kwargs):
-        self.limits.append(kwargs["limit"])
-        return self.real.dijkstra(*args, **kwargs)
-
-    def __getattr__(self, name):
-        return getattr(self.real, name)
-
-
 @pytest.fixture
 def sweeps(monkeypatch):
     """The limit of every sweep run while the test runs, in call order.
@@ -76,10 +61,16 @@ def sweeps(monkeypatch):
     A forked worker's sweeps never reach this process's list, so the test
     runs on one worker: every sweep in this process, in the serial order.
     """
-    counting = _CountingCsgraph(grid_module.csgraph)
-    monkeypatch.setattr(grid_module, "csgraph", counting)
+    limits = []
+    real = GridGraph._sweep
+
+    def spy(self, weights, sources, **kwargs):
+        limits.append(kwargs.get("limit", np.inf))
+        return real(self, weights, sources, **kwargs)
+
+    monkeypatch.setattr(GridGraph, "_sweep", spy)
     monkeypatch.setattr(grid_module, "_WORKERS", 1)
-    return counting.limits
+    return limits
 
 
 @pytest.fixture(autouse=True)

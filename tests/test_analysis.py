@@ -12,7 +12,7 @@ from qhgeo import (GrowthFunction, estimate_delta_four_point,
                    john_center_probe, loop_probe, qhbc_fit,
                    visibility_and_gromov_probes, visibility_probe)
 from qhgeo.analysis import _sample_pool
-from qhgeo.errors import ConstraintError
+from qhgeo.errors import ConstraintError, InternalInvariantError
 
 SCALES = [2.0 ** -k for k in range(2, 7)]
 
@@ -255,28 +255,62 @@ def test_thin_triangle_runs_are_hub_bounded(disk128, sweeps, monkeypatch):
     g = fresh_graph(disk128)
     g.qh_distance((0.1, 0.2), (-0.4, 0.3))
     g.qh_distance((0.5, 0.1), (-0.2, -0.6))
-    real = g._reach
+    real = g.basepoint
     runs = []
 
-    def spy(inner, u, targets, predecessors=False, stubs=0.0, ends=None):
-        assert ends is None  # node ends: no guessed limit
+    def spy(x0, limit=np.inf):
+        assert isinstance(x0, int)  # node ends: no guessed limit
         start = len(sweeps)
-        out = real(inner, u, targets, predecessors, stubs, ends)
+        out = real(x0, limit)
         runs.append(sweeps[start:])
         return out
 
-    monkeypatch.setattr(g, "_reach", spy)
+    monkeypatch.setattr(g, "basepoint", spy)
     est = estimate_delta_thin_triangles(g, 10, seed=7)
     assert runs and all(len(r) <= 1 and np.isfinite(r).all() for r in runs)
     assert sum(map(len, runs)) > 0
 
-    def full(inner, u, targets, predecessors=False):
-        return g._sweep(g._metric(inner), u, predecessors=predecessors)
-
-    monkeypatch.setattr(g, "_reach", full)
+    monkeypatch.setattr(g, "basepoint", lambda x0, limit=np.inf: real(x0))
     want = estimate_delta_thin_triangles(g, 10, seed=7)
     assert est.value.hex() == want.value.hex()
     assert est.worst_configuration == want.worst_configuration
+
+
+def test_node_sweep_bound_too_small_raises(comb_grid, comb_domain, disk64):
+    # the ladder and the thin-triangle sides sweep from a node through one
+    # check: a finite bound that leaves a target unreached raises
+    comb, disk = fresh_graph(comb_grid), fresh_graph(disk64)
+    for g in (comb, disk):
+        def halved(weights, sources, real=g._sweep, **kwargs):
+            kwargs["limit"] = 0.5 * kwargs["limit"]
+            return real(weights, sources, **kwargs)
+        g._sweep = halved
+    with pytest.raises(InternalInvariantError):
+        _comb_probes(comb, comb_domain)
+    with pytest.raises(InternalInvariantError):
+        estimate_delta_thin_triangles(disk, 10, seed=7)
+
+
+def test_thin_triangle_sides_match_distance_matrix(disk128, monkeypatch):
+    # a side's length is the node_distance_matrix entry of its two ends,
+    # bit for bit: both sweep from the pair's first end, each cut at a bound
+    monkeypatch.setattr(grid_module, "_WORKERS", 1)  # the spy sees every run
+    g = fresh_graph(disk128)
+    real, sides = g._node_sweep, []
+
+    def spy(u, targets, limit):
+        bp = real(u, targets, limit)
+        sides.append((u, list(targets), bp.field[targets]))
+        return bp
+
+    g._node_sweep = spy
+    estimate_delta_thin_triangles(g, 10, seed=7)
+    del g._node_sweep
+    nodes = sorted({u for u, ts, _ in sides} | {t for _, ts, _ in sides for t in ts})
+    d, at = g.node_distance_matrix(nodes), {u: i for i, u in enumerate(nodes)}
+    assert len(sides) > 5
+    for u, ts, lengths in sides:
+        assert lengths.tobytes() == d[at[u], [at[t] for t in ts]].tobytes()
 
 
 def test_thin_triangle_estimate(disk64):

@@ -821,11 +821,19 @@ def test_hub_bound_is_exact(grid, domain, request):
             _full_k(g, o, x) + _full_k(g, o, y) - full_k[x, y])
 
 
+def _full_reach(g, s, t, inner=False, predecessors=False):
+    """The full sweep out of s's candidates toward t's: a fresh graph's first, unguessed one."""
+    def query(h):
+        k, cs, ct = 2 if inner else 1, h._candidates(s), h._candidates(t)
+        return h._reach(inner, cs[0], cs[k], as_point(s), [(as_point(t), ct[0], ct[k])],
+                        predecessors)
+    return _full(query, g)
+
+
 def _full_from(g, s, t):
     """k(s, t) from one full sweep out of s's candidates."""
-    h = fresh_graph(g)
-    (su, ss, _), (tu, ts, _) = h._candidates(s), h._candidates(t)
-    return float((h._reach(False, su, tu, stubs=ss)[tu] + ts).min())
+    tu, ts, _ = g._candidates(t)
+    return float((_full_reach(g, s, t)[tu] + ts).min())
 
 
 @pytest.mark.parametrize("grid,domain", [("disk128", "disk_domain"),
@@ -850,9 +858,9 @@ def test_pairs_swept_from_first_end(grid, domain, request, monkeypatch, sweeps):
     g.qh_distance(*pairs[1])  # builds the qh hub field
     real, starts = g._reach, []
 
-    def spy(inner, u, targets, predecessors=False, stubs=0.0, ends=None):
-        starts.append(int(np.atleast_1d(u)[0]))
-        return real(inner, u, targets, predecessors, stubs, ends)
+    def spy(inner, nodes, *args):
+        starts.append(int(nodes[0]))
+        return real(inner, nodes, *args)
 
     monkeypatch.setattr(g, "_reach", spy)
     for x, y in pairs:
@@ -1034,6 +1042,28 @@ def test_no_guess_where_the_segment_crosses(comb_grid, comb_domain):
                               "missed": 0}
 
 
+def test_crossing_pair_cut_at_its_own_hub_bound(comb_grid, sweeps):
+    # the segment crosses a slit, so the pair has no guess; once the hub
+    # field exists its limit is its own hub bound, s + min_v (f[v] + t_v).
+    # Its ellipse boxes hold over _PRUNE_MAX of the comb, so that one sweep
+    # runs on the whole matrix, cut there, and gives the full sweep's floats
+    g = fresh_graph(comb_grid)
+    x, y = (0.3, 0.2), (0.7, 0.2)
+    k, path = g.qh_distance_and_geodesic(x, y)  # no hub field yet: in full
+    del sweeps[:]
+    got, got_path = g.qh_distance_and_geodesic(x, y)
+    f = g._hub_fields[False][0]
+    s, t = sorted([x, y], key=lambda p: g._end_key(g.attach(p)[0], *p))
+    (su, ss, _), (tu, ts, _) = g._candidates(s), g._candidates(t)
+    bound = float((ss + f[su]).min() + (f[tu] + ts).min()) * (1 + 1e-9)
+    assert sweeps == [np.inf, bound] and round(bound, 4) == 7.9547
+    assert g.sweep_counts == {"full": 2, "limited": 1, "pruned": 0, "min_only": 0,
+                              "missed": 0}
+    assert got.hex() == k.hex() == _full_k(g, x, y).hex()
+    assert _same_path(got_path, path)
+    assert _same_path(got_path, _full(qhgeo.GridGraph.qh_geodesic, g, x, y))
+
+
 def test_guess_in_other_component():
     # the hub lies in the lower half, so an upper-half query is bounded by
     # its guess alone; its floats and chains are still the full sweep's
@@ -1062,7 +1092,7 @@ def test_guess_past_a_worse_candidate_misses(disk64, disk_domain, monkeypatch):
         h = fresh_graph(disk64)
         (s, cs), (t, ct) = sorted([(x, h._candidates(x)), (y, h._candidates(y))],
                                   key=lambda end: h._end_key(end[1][0][0], *end[0]))
-        d = h._reach(False, cs[0], ct[0], stubs=cs[1])[ct[0]]  # no ends: in full
+        d = _full_reach(h, s, t)[ct[0]]
         best = np.argmin(d + ct[1])
         if not (d < d[best]).any():
             continue
@@ -1138,7 +1168,7 @@ def test_ellipse_holds_the_full_sweeps_chain(grid, domain, request, monkeypatch)
             continue
         pts = np.array([x, y], dtype=float)
         for inner in (False, True):
-            dist, pred = g._reach(inner, su, tu, predecessors=True, stubs=s[inner])
+            dist, pred = _full_reach(g, x, y, inner, predecessors=True)
             totals = dist[tu] + t[inner]
             j = int(np.argmin(totals))
             chain = g._chain(pred, g.node_count, int(tu[j]))[1:]

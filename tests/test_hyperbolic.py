@@ -8,7 +8,6 @@ from qhgeo import (MINUS_FOUR, MINUS_ONE, bh_quasigeodesic_check,
                    compare_metrics_disk, disk_automorphism,
                    gehring_hayman_ratio, hyp_density, hyp_distance_disk,
                    hyp_geodesic_disk, hyp_polyline_length, path_csv_with_hyp)
-from qhgeo import grid as grid_module
 from qhgeo.errors import ConstraintError, DomainError
 
 
@@ -156,30 +155,18 @@ def test_bh_quasigeodesic_small_set(disk128):
     assert abs(diam.hyp_len_qh_geo / diam.h - 1) < 0.03
 
 
-def test_bh_one_sweep_per_pair(disk128, monkeypatch):
+def test_bh_one_sweep_per_pair(disk128, sweeps):
     # one predecessor sweep per pair gives k and the geodesic; k stays
     # bitwise qh_distance, pinned here at its best-candidate-pair values.
     # disk128 is shared across tests, so two sweeping queries first put its
     # qh hub field in place whatever ran before; the count is then exact
     disk128.qh_distance((0.1, 0.2), (-0.4, 0.3))
     disk128.qh_distance((0.5, 0.1), (-0.2, -0.6))
-    real = grid_module.csgraph
-
-    class Counting:
-        calls = 0
-
-        def dijkstra(self, *args, **kwargs):
-            Counting.calls += 1
-            return real.dijkstra(*args, **kwargs)
-
-        def __getattr__(self, name):
-            return getattr(real, name)
-
-    monkeypatch.setattr(grid_module, "csgraph", Counting())
+    del sweeps[:]
     rep = bh_quasigeodesic_check(disk128, [((-0.5, 0.0), (0.5, 0.0)),
                                            ((0.9, 0), (0, 0.9)),
                                            ((0.2, 0.2), (0.2, 0.2))])
-    assert Counting.calls == 2
+    assert len(sweeps) == 2
     assert [float.hex(r.k) for r in rep.rows] == ["0x1.64951b03612a3p+0",
                                                   "0x1.1bcdb7ce7dd96p+2"]
     # the second pair and both below sweep from the second point's end
