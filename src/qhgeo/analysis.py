@@ -130,10 +130,11 @@ def estimate_delta_thin_triangles(g: GridGraph, n_samples: int, seed: int,
     """Max one-sided Hausdorff gap of geodesic triangle sides (thinness).
 
     Each side is swept from its first end (see GridGraph._end_key): one
-    predecessor sweep per distinct first end, to the other ends of all its
-    sides, stopped at the hub bound to them. These runs are independent,
-    so they go through grid._fork_map, on every CPU this process may use,
-    and each hands back its sides' chains and lengths. A side is a node
+    basepoint per distinct first end s, cut at the hub bound to the other
+    ends t of all its sides, (f[s] + max f[t]) * (1 + 1e-9), with f the qh
+    hub field, built here first. These runs are independent, so they go
+    through grid._fork_map, on every CPU this process may use, and each
+    hands back its sides' chains and lengths. A side is a node
     set, so its direction does not matter. The gap sweeps run in this
     process, one after another, since each depends on the running
     maximum. Each gap is a multi-source sweep from the

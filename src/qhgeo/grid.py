@@ -662,20 +662,15 @@ class GridGraph:
         return self._sweep(weights, self.node_count, predecessors=predecessors, limit=limit)
 
     def _reach(self, inner: bool, nodes, stubs, x, ys, predecessors: bool = False):
-        """A point query's sweep from the swept point x, its candidates nodes joined by stubs.
+        """A point query's sweep from x, its candidates nodes joined by stubs.
 
-        ys lists each target point y_j as (y_j, its candidates, their stubs).
-        The fields are n + 1 long, on the graph's ids. Each y_j gets a limit
-        L_j, its guess (_guess), capped in the qh metric by its hub bound
-        (min_i (s_i + f[u_i]) + min (f[v] + t) over y_j's candidates)
-        * (1 + 1e-9). When every L_j is finite, one sweep at the largest runs
-        on the subgraph its ellipses induce (_ellipse, _pruned), or on the
-        whole matrix when _ellipse declines, and it is kept when each y_j has
-        a candidate within L_j, min (D[v] + t) <= L_j: the ellipses hold every
-        node of a path that short, so the distance, its argmin and its chain
-        are a full sweep's. Otherwise the whole matrix is swept at the hub
-        bound, which every target that shares a component with some u_i must
-        be within.
+        ys lists each target point y_j as (y_j, its candidates, their stubs);
+        the fields are n + 1 long. The try sweeps at the largest limit L_j,
+        y_j's guess (_guess) capped in the qh metric by y_j's hub bound, on
+        the ellipses' subgraph (_ellipse, _pruned) or the whole matrix, and
+        is kept when each y_j has a candidate within L_j. Otherwise the whole
+        matrix is swept at the hub bound, which every target that shares a
+        component with some u_i must be within (see the module docstring).
         """
         # the inner hub field is a sweep of csr_euc, which only the fallback
         # reads, so only the fallback marks or builds it

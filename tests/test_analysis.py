@@ -285,9 +285,9 @@ def test_node_sweep_bound_too_small_raises(comb_grid, comb_domain, disk64):
             kwargs["limit"] = 0.5 * kwargs["limit"]
             return real(weights, sources, **kwargs)
         g._sweep = halved
-    with pytest.raises(InternalInvariantError):
+    with pytest.raises(InternalInvariantError, match="node sweep"):
         _comb_probes(comb, comb_domain)
-    with pytest.raises(InternalInvariantError):
+    with pytest.raises(InternalInvariantError, match="node sweep"):
         estimate_delta_thin_triangles(disk, 10, seed=7)
 
 
