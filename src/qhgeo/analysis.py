@@ -17,6 +17,7 @@ from .domains import Anchor
 from .errors import (ConstraintError, GeometryError, InternalInvariantError,
                      ResolutionError, SampleError)
 from .geometry import Point2, as_point
+from . import grid
 from .grid import Basepoint, GridGraph, _fork_map
 from .report import Report
 
@@ -135,14 +136,19 @@ def estimate_delta_thin_triangles(g: GridGraph, n_samples: int, seed: int,
     hub field, built here first. These runs are independent, so they go
     through grid._fork_map, on every CPU this process may use, and each
     hands back its sides' chains and lengths. A side is a node
-    set, so its direction does not matter. The gap sweeps run in this
-    process, one after another, since each depends on the running
-    maximum. Each gap is a multi-source sweep from the
-    other two sides, stopped at the running maximum when that is below
-    half the side's length; only a gap above it can raise the estimate,
-    and such a gap is swept again to the half length. Every gap read is
-    the full sweep's float, so the estimate and its worst configuration
-    are too.
+    set, so its direction does not matter. The samples are then dealt
+    through grid._fork_map too: W = min(grid._WORKERS, n_samples) shares,
+    share w taking rows w, w + W, ... in order. A row's val is the largest
+    of its three gaps. Each gap is a multi-source sweep from the other two
+    sides, stopped at the share's running maximum when that is below half
+    the side's length; only a gap above it can raise the maximum, and such
+    a gap is swept again to the half length. A gap cut there is finite only
+    when every side node was reached, and then it is the full sweep's
+    float, so every val is the same whatever the share. Each share hands
+    back its largest val and its first row with it; the estimate is the
+    largest, on a tie the lowest row (row 0 when every val is 0), the row a
+    serial loop keeps. So the estimate and its worst configuration do not
+    depend on W.
     """
     if n_samples < 1:
         raise SampleError("n_samples must be >= 1")
@@ -178,37 +184,42 @@ def estimate_delta_thin_triangles(g: GridGraph, n_samples: int, seed: int,
             return np.asarray([u]), 0.0
         return sides[tuple(sorted((u, v), key=g._end_key))]
 
-    best_val = 0.0
-    best_triple = triples[0]
-    for row in triples:
-        a, b, c = (int(pool[i]) for i in row)
-        (side_ab, len_ab), (side_ac, len_ac), (side_bc, len_bc) = (
-            side_of(a, b), side_of(a, c), side_of(b, c))
-        val = 0.0
-        for side, length, others in ((side_ab, len_ab, (side_ac, side_bc)),
-                                     (side_ac, len_ac, (side_ab, side_bc)),
-                                     (side_bc, len_bc, (side_ab, side_ac))):
-            # every node of a geodesic side lies within half its length of
-            # an endpoint, and both endpoints lie on the other sides, so the
-            # sweep can stop there. A gap up to need cannot raise the
-            # estimate, so a lower need is tried first; a side node it leaves
-            # unreached means a larger gap, swept again to the half length.
-            # The slack covers float rounding only.
-            union = np.unique(np.concatenate(others))
-            need, half = max(best_val, val), 0.5 * length
-            for cut in ((need, half) if 0.0 < need < half else (half,)):
-                gap = float(g.multi_source_field(union, limit=cut * (1 + 1e-9))[side].max())
-                if math.isfinite(gap):
-                    break
-            if not math.isfinite(gap):
-                raise InternalInvariantError(
-                    "thin-triangle side node beyond half the side length "
-                    "from both endpoints")
-            val = max(val, gap)
-        if val > best_val:
-            best_val = val
-            best_triple = row
-    worst_nodes = pool[best_triple]
+    def gaps(w: int) -> tuple[float, int]:
+        """Share w's rows w, w + W, ...: its largest val, and its first row with it."""
+        best_val, best_row = 0.0, w
+        for r in range(w, n_samples, shares):
+            a, b, c = (int(pool[i]) for i in triples[r])
+            (side_ab, len_ab), (side_ac, len_ac), (side_bc, len_bc) = (
+                side_of(a, b), side_of(a, c), side_of(b, c))
+            val = 0.0
+            for side, length, others in ((side_ab, len_ab, (side_ac, side_bc)),
+                                         (side_ac, len_ac, (side_ab, side_bc)),
+                                         (side_bc, len_bc, (side_ab, side_ac))):
+                # every node of a geodesic side lies within half its length
+                # of an endpoint, and both endpoints lie on the other sides,
+                # so the sweep can stop there. A gap up to need cannot raise
+                # the share's maximum, so a lower need is tried first; a side
+                # node it leaves unreached means a larger gap, swept again to
+                # the half length. The slack covers float rounding only.
+                union = np.unique(np.concatenate(others))
+                need, half = max(best_val, val), 0.5 * length
+                for cut in ((need, half) if 0.0 < need < half else (half,)):
+                    gap = float(g.multi_source_field(union, limit=cut * (1 + 1e-9))[side].max())
+                    if math.isfinite(gap):
+                        break
+                if not math.isfinite(gap):
+                    raise InternalInvariantError(
+                        "thin-triangle side node beyond half the side length "
+                        "from both endpoints")
+                val = max(val, gap)
+            if val > best_val:
+                best_val, best_row = val, r
+        return best_val, best_row
+
+    shares = min(grid._WORKERS, n_samples)
+    # the largest val, on a tie the lowest row: the row the serial loop keeps
+    best_val, best_row = max(_fork_map(gaps, range(shares)), key=lambda vr: (vr[0], -vr[1]))
+    worst_nodes = pool[triples[best_row]]
     worst = tuple(tuple(map(float, g.centers[u])) for u in worst_nodes)
     return DeltaEstimate("thin_triangle", best_val, n_samples, seed, worst)
 

@@ -160,9 +160,11 @@ sweeps each pair once, to the nodes after s in (delta, node id) order
 (see its docstring), and builds the hub field if no query has; the
 thin-triangle estimate builds it before its runs are dealt out.
 
-Sweeps that do not depend on each other (node_distance_matrix's rows and
-the thin-triangle side runs) go through _fork_map, which deals them over
-_WORKERS processes, one per CPU in this process's affinity mask: this
+Sweeps that do not depend on each other go through _fork_map:
+node_distance_matrix's rows, the thin-triangle side runs, and the
+thin-triangle gap sweeps, one share of the samples per worker, each share
+cut at its own running maximum. _fork_map deals them over _WORKERS
+processes, one per CPU in this process's affinity mask: this
 process runs one share and an os.fork child each other one. scipy's
 Dijkstra holds the GIL, so threads would run them one at a time. With one
 CPU, one item, or a second thread alive, _fork_map is a plain loop. Either

@@ -1,12 +1,14 @@
 """Boundary probes and hyperbolicity estimates."""
 import json
+import os
 
 import numpy as np
 import pytest
 
 from conftest import fresh_graph, full_sweep
+from qhgeo import analysis as analysis_module
 from qhgeo import grid as grid_module
-from qhgeo import (GrowthFunction, estimate_delta_four_point,
+from qhgeo import (GridGraph, GrowthFunction, estimate_delta_four_point,
                    estimate_delta_thin_triangles, gromov_product,
                    gromov_product_boundary_probe, growth_check,
                    john_center_probe, loop_probe, qhbc_fit,
@@ -234,7 +236,7 @@ def test_estimates_unchanged_by_sweep_pruning(disk128_four_point, disk128_thin_t
         (0.814453125, -0.462890625), (0.45703125, -0.77734375))
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_estimates_same_on_any_worker_count(disk128, disk128_four_point,
                                             disk128_thin_triangles, workers,
                                             monkeypatch):
@@ -326,6 +328,7 @@ def test_thin_triangle_gaps_stop_at_running_max(disk128, monkeypatch):
     # a gap sweep stops at the running maximum when that is below half the
     # side's length, and sweeps again to the half length if a side node is
     # left unreached; the estimate is the full gap sweeps' float
+    monkeypatch.setattr(grid_module, "_WORKERS", 1)  # the spy sees every share
     g = fresh_graph(disk128)
     real = g.multi_source_field
     limits = []
@@ -359,3 +362,48 @@ def test_thin_triangle_gaps_stop_at_running_max(disk128, monkeypatch):
         if i < len(limits) and limits[i] == cap:
             i += 1
     assert i == len(limits) and below > 0
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_thin_triangle_tie_goes_to_the_lowest_row(disk64, workers, monkeypatch):
+    # three fixed distinct pool nodes: every row of three distinct nodes is
+    # a permutation of them, with the same val, and every other row has val
+    # 0. At seed 1 the distinct rows are 3, 8 and 10, so on 2 workers the
+    # tie crosses shares, and the serial loop keeps row 3
+    pool = np.asarray([disk64.attach(p)[0] for p in ((0.5, 0.1), (-0.3, 0.4), (-0.2, -0.5))])
+    assert len(set(pool.tolist())) == 3
+    triples = np.random.default_rng(1).integers(0, 3, size=(12, 3))
+    assert [r for r, t in enumerate(triples) if len(set(t)) == 3] == [3, 8, 10]
+    monkeypatch.setattr(analysis_module, "_sample_pool", lambda g, size, rng: pool)
+    monkeypatch.setattr(grid_module, "_WORKERS", 1)
+    want = estimate_delta_thin_triangles(disk64, 12, seed=1)
+    monkeypatch.setattr(grid_module, "_WORKERS", workers)
+    est = estimate_delta_thin_triangles(disk64, 12, seed=1)
+    assert est.value > 0
+    assert est.value.hex() == want.value.hex()
+    assert est.worst_configuration == tuple(
+        tuple(map(float, disk64.centers[u])) for u in pool[triples[3]])
+
+
+def test_thin_triangle_one_sample_on_two_workers(disk64, monkeypatch):
+    monkeypatch.setattr(grid_module, "_WORKERS", 1)
+    want = estimate_delta_thin_triangles(disk64, 1, seed=1)
+    monkeypatch.setattr(grid_module, "_WORKERS", 2)
+    est = estimate_delta_thin_triangles(disk64, 1, seed=1)
+    assert json.dumps(est.to_dict()) == json.dumps(want.to_dict())
+
+
+def test_thin_triangle_child_error_reaches_caller(disk64, monkeypatch):
+    # the gap sweeps of a forked share find no side node in reach; its
+    # InternalInvariantError is raised here with its own type
+    monkeypatch.setattr(grid_module, "_WORKERS", 2)
+    parent, real = os.getpid(), GridGraph.multi_source_field
+
+    def unreached_in_child(self, nodes, limit=np.inf):
+        if os.getpid() == parent:
+            return real(self, nodes, limit)
+        return np.full(self.node_count, np.inf)
+
+    monkeypatch.setattr(GridGraph, "multi_source_field", unreached_in_child)
+    with pytest.raises(InternalInvariantError, match="beyond half the side length"):
+        estimate_delta_thin_triangles(disk64, 10, seed=7)
