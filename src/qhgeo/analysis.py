@@ -184,6 +184,8 @@ def estimate_delta_thin_triangles(g: GridGraph, n_samples: int, seed: int,
             return np.asarray([u]), 0.0
         return sides[tuple(sorted((u, v), key=g._end_key))]
 
+    shares = min(grid._WORKERS, n_samples)
+
     def gaps(w: int) -> tuple[float, int]:
         """Share w's rows w, w + W, ...: its largest val, and its first row with it."""
         best_val, best_row = 0.0, w
@@ -216,7 +218,6 @@ def estimate_delta_thin_triangles(g: GridGraph, n_samples: int, seed: int,
                 best_val, best_row = val, r
         return best_val, best_row
 
-    shares = min(grid._WORKERS, n_samples)
     # the largest val, on a tie the lowest row: the row the serial loop keeps
     best_val, best_row = max(_fork_map(gaps, range(shares)), key=lambda vr: (vr[0], -vr[1]))
     worst_nodes = pool[triples[best_row]]
