@@ -146,9 +146,9 @@ def estimate_delta_thin_triangles(g: GridGraph, n_samples: int, seed: int,
     when every side node was reached, and then it is the full sweep's
     float, so every val is the same whatever the share. Each share hands
     back its largest val and its first row with it; the estimate is the
-    largest, on a tie the lowest row (row 0 when every val is 0), the row a
-    serial loop keeps. So the estimate and its worst configuration do not
-    depend on W.
+    largest, on a tie the lowest row (row 0 when every val is 0), the row
+    one share would keep. So the estimate and its worst configuration do
+    not depend on W.
     """
     if n_samples < 1:
         raise SampleError("n_samples must be >= 1")
@@ -218,7 +218,7 @@ def estimate_delta_thin_triangles(g: GridGraph, n_samples: int, seed: int,
                 best_val, best_row = val, r
         return best_val, best_row
 
-    # the largest val, on a tie the lowest row: the row the serial loop keeps
+    # the largest val, on a tie the lowest row: the row one share would keep
     best_val, best_row = max(_fork_map(gaps, range(shares)), key=lambda vr: (vr[0], -vr[1]))
     worst_nodes = pool[triples[best_row]]
     worst = tuple(tuple(map(float, g.centers[u])) for u in worst_nodes)

@@ -369,7 +369,7 @@ def test_thin_triangle_tie_goes_to_the_lowest_row(disk64, workers, monkeypatch):
     # three fixed distinct pool nodes: every row of three distinct nodes is
     # a permutation of them, with the same val, and every other row has val
     # 0. At seed 1 the distinct rows are 3, 8 and 10, so on 2 workers the
-    # tie crosses shares, and the serial loop keeps row 3
+    # tie crosses shares, and one share keeps row 3
     pool = np.asarray([disk64.attach(p)[0] for p in ((0.5, 0.1), (-0.3, 0.4), (-0.2, -0.5))])
     assert len(set(pool.tolist())) == 3
     triples = np.random.default_rng(1).integers(0, 3, size=(12, 3))
